@@ -12,7 +12,7 @@ from .kernels import (
     rbf_kernel,
     spectral_decompose,
 )
-from .gpr import Dataset, GprModel, PosteriorGP, fit_gpr, posterior_gp, predict_gpr, prior_gp
+from .gpr import Dataset, GprModel, PosteriorGP, fit_gpr, posterior_gp, predict_gpr
 from .gpr_distill import (
     DistillSchedule,
     EffectiveNoise,

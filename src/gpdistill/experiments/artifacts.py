@@ -15,7 +15,7 @@ import numpy as np
 
 from ..gpr import GprModel
 from ..kernels import KernelParams, as_points, kernel_matrix
-from ..laplace import LaplaceFit, sigmoid_gaussian_mean
+from ..laplace import CurvatureFactor, LaplaceFit, sigmoid_gaussian_mean
 
 FORMAT_VERSION = 1
 
@@ -145,8 +145,6 @@ def predict_from_artifact(artifact: ModelArtifact, test_xs) -> np.ndarray:
         return k_star @ alpha
 
     if artifact.method in ("gpc", "gpc-data", "gpc-dist"):
-        from ..laplace import _sandwich_solve  # local to avoid a module cycle
-
         scale = float(payload.get("kernel_scale", 1.0))
         diag_shift = float(payload.get("diag_shift", 0.0))
         alpha = np.asarray(payload["alpha_weights"], dtype=float)
@@ -157,7 +155,7 @@ def predict_from_artifact(artifact: ModelArtifact, test_xs) -> np.ndarray:
         mu = ks @ alpha
         k_ss = scale * kernel_matrix(pts, pts, params)
         np.fill_diagonal(k_ss, scale * params.signal_variance)
-        cov = k_ss - ks @ _sandwich_solve(K, w, ks.T)
+        cov = k_ss - ks @ CurvatureFactor(K, w).solve(ks.T)
         cov = 0.5 * (cov + cov.T)
         return sigmoid_gaussian_mean(mu, np.maximum(np.diag(cov), 0.0))
 

@@ -13,30 +13,18 @@ from pathlib import Path
 
 import numpy as np
 
-from ..gpr import fit_gpr
+from ..gpr import Dataset, fit_gpr
 from ..gpr_distill import DistillSchedule, data_centric_targets_naive, effective_noise
 from ..gpc_distill import (
     GpcDistillConfig,
     data_centric_gpc,
     distribution_centric_gpc_scaled,
 )
-from ..gridsearch import DEFAULT_GRID_AXIS, GridSpec, grid_search
-from ..kernels import (
-    IndefiniteKernelError,
-    KernelParams,
-    SingularSystemError,
-    gram,
-)
-from ..laplace import (
-    BERNOULLI,
-    CONTINUOUS_BERNOULLI,
-    HessianNotPositiveDefinite,
-    NewtonDidNotConverge,
-    laplace_mode,
-)
+from ..gridsearch import DEFAULT_GRID_AXIS, NUMERICAL_ERRORS, GridSpec, grid_search
+from ..kernels import KernelParams, gram
+from ..laplace import BERNOULLI, CONTINUOUS_BERNOULLI, laplace_mode
 from .artifacts import (
     ArtifactError,
-    ModelArtifact,
     artifact_from_gpr,
     artifact_from_laplace,
     load_model,
@@ -53,14 +41,6 @@ from .datasets import (
     write_dataset_csv,
 )
 from .runner import EXPERIMENTS, ExperimentConfig, run_experiment, write_csv, write_grid_csv
-
-NUMERICAL_ERRORS = (
-    SingularSystemError,
-    IndefiniteKernelError,
-    NewtonDidNotConverge,
-    HessianNotPositiveDefinite,
-    np.linalg.LinAlgError,
-)
 
 
 class UsageError(Exception):
@@ -169,19 +149,9 @@ def _cmd_distill(args) -> int:
         if args.method == "gpr-data":
             targets = data_centric_targets_naive(data, params, schedule)
             y_prev = data.ys if steps == 1 else targets[steps - 2]
-            K = gram(data.xs, params, add_jitter=False).values
-            alpha = np.linalg.solve(K + schedule.gammas[steps - 1] * np.eye(data.n), y_prev)
-            artifact = ModelArtifact(
-                method="gpr-data",
-                kernel_params=params,
-                payload={
-                    "train_xs": data.xs.tolist(),
-                    "alpha_weights": alpha.tolist(),
-                    "noise": schedule.gammas[steps - 1],
-                    "gammas": list(schedule.gammas),
-                    "steps": steps,
-                },
-            )
+            model = fit_gpr(Dataset(data.xs, y_prev), params, noise=schedule.gammas[steps - 1])
+            artifact = artifact_from_gpr(model, method="gpr-data",
+                                         extra={"gammas": list(schedule.gammas), "steps": steps})
         else:
             eff = effective_noise(schedule, steps)
             model = fit_gpr(data, params, noise=eff.effective)

@@ -12,19 +12,19 @@ iterated chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, lu_factor, lu_solve
 from scipy.special import expit
 
-from .gpr import PosteriorGP, prior_gp
+from .gpr import PosteriorGP
 from .gpr_distill import REPLICATION_ROW_CAP
-from .kernels import KernelParams, as_points, gram, kernel_matrix
+from .kernels import KernelParams, as_points, gram
 from .laplace import (
     BERNOULLI,
     CONTINUOUS_BERNOULLI,
     BinaryDataset,
+    CurvatureFactor,
     LaplaceFit,
     NewtonDidNotConverge,
     gpc_predict_latent,
@@ -141,50 +141,6 @@ def cb_marginal_loglik(fit: LaplaceFit, K, targets) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _curvature_solver(K_t: np.ndarray, w: np.ndarray):
-    """Factorized application of (K_t + W^-1)^-1, never forming W^-1."""
-    n = len(w)
-    if np.all(w > 0.0):
-        sw = np.sqrt(w)
-        factor = cho_factor(np.eye(n) + sw[:, None] * K_t * sw[None, :], lower=True)
-
-        def apply(rhs):
-            return sw[:, None] * cho_solve(factor, sw[:, None] * rhs)
-
-    else:
-        factor = lu_factor(w[:, None] * K_t + np.eye(n))
-
-        def apply(rhs):
-            return lu_solve(factor, w[:, None] * rhs)
-
-    return apply
-
-
-def _laplace_posterior(gp: PosteriorGP, xs: np.ndarray, fit: LaplaceFit,
-                       K_t: np.ndarray) -> PosteriorGP:
-    """Posterior GP from a Laplace fit carried out under the prior `gp`.
-
-    K_t is the prior covariance at the training inputs without jitter; the
-    jitter belongs to the mode-finding solve only, and (K_t + W^-1) is already
-    well-conditioned.
-    """
-    inner = _curvature_solver(K_t, fit.w_diag)
-    prev_mean, prev_kernel = gp.mean_fn, gp.kernel_fn
-    alpha = fit.alpha_weights
-
-    def mean_fn(a):
-        return prev_mean(a) + prev_kernel(a, xs) @ alpha
-
-    def kernel_fn(a, b):
-        big = prev_kernel(np.vstack([a, xs]), np.vstack([b, xs]))
-        k_ab = big[: len(a), : len(b)]
-        k_ax = big[: len(a), len(b):]
-        k_xb = big[len(a):, : len(b)]
-        return k_ab - k_ax @ inner(k_xb)
-
-    return PosteriorGP(mean_fn=mean_fn, kernel_fn=kernel_fn)
-
-
 @dataclass(frozen=True)
 class GpcDistillStep:
     """One distribution-centric step: the Laplace fit and the resulting posterior GP."""
@@ -199,25 +155,29 @@ def distribution_centric_gpc_iterated(
     """Iterate posterior-becomes-prior classification on the original binary targets.
 
     Each step runs a full Newton fit under the previous step's posterior GP
-    (with that step's own curvature matrix) and wraps the result as the next
-    prior. Evaluation cost of the returned GPs grows linearly with the step.
+    (with that step's own curvature matrix) and conditions that GP on it. Every
+    returned posterior has the same fixed size, so evaluating the step-t GP
+    costs the same as evaluating the first.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     xs = data.xs
-    current = prior_gp(params)
+    eye = np.eye(data.n)
+    current = PosteriorGP(xs, params)
     out: list[GpcDistillStep] = []
     for t in range(1, steps + 1):
         K_t = current.cov(xs)
-        K_fit = K_t + params.jitter * np.eye(data.n)
-        m_t = current.mean(xs)
         try:
-            fit = laplace_mode(data.ys, K_fit, prior_mean=m_t, likelihood=BERNOULLI)
+            fit = laplace_mode(data.ys, K_t + params.jitter * eye, prior_mean=current.mean(xs),
+                               likelihood=BERNOULLI)
         except NewtonDidNotConverge as exc:
             raise NewtonDidNotConverge(
                 f"step {t} of {steps} failed: {exc}", grad_norm=exc.grad_norm
             ) from exc
-        current = _laplace_posterior(current, xs, fit, K_t)
+        # the jitter belongs to the mode-finding solve only; (K_t + W^-1) is
+        # already well-conditioned
+        current = current.condition(fit.alpha_weights,
+                                    CurvatureFactor(K_t, fit.w_diag).solve(eye))
         out.append(GpcDistillStep(fit=fit, posterior=current))
     return out
 
@@ -238,27 +198,19 @@ def distribution_centric_gpc_scaled(
     """One Laplace fit under the prior GP(0, t*k).
 
     Exactly equivalent to fitting t stacked copies of the data, and an
-    approximation of t iterated distribution-centric steps.
+    approximation of t iterated distribution-centric steps. t*k is the RBF
+    kernel with signal variance t*sigma_f^2, so the posterior is a one-step
+    PosteriorGP under those parameters.
     """
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
-    xs = data.xs
-    K_raw = t * gram(xs, params, add_jitter=False).values
+    scaled = replace(params, signal_variance=t * params.signal_variance)
+    K_raw = gram(data.xs, scaled, add_jitter=False).values
     K_fit = K_raw + params.jitter * np.eye(data.n)
     fit = laplace_mode(data.ys, K_fit, likelihood=BERNOULLI)
-    inner = _curvature_solver(K_raw, fit.w_diag)
-    alpha = fit.alpha_weights
-    scale = float(t)
-
-    def mean_fn(a):
-        return scale * kernel_matrix(a, xs, params) @ alpha
-
-    def kernel_fn(a, b):
-        k_ax = scale * kernel_matrix(a, xs, params)
-        k_xb = scale * kernel_matrix(xs, b, params)
-        return scale * kernel_matrix(a, b, params) - k_ax @ inner(k_xb)
-
-    posterior = PosteriorGP(mean_fn=mean_fn, kernel_fn=kernel_fn)
+    # conditioning the prior once gives c = alpha and M = (K + W^-1)^-1
+    inner = CurvatureFactor(K_raw, fit.w_diag).solve(np.eye(data.n))
+    posterior = PosteriorGP(data.xs, scaled, fit.alpha_weights, inner)
     return ScaledGpcFit(fit=fit, posterior=posterior, gram_values=K_fit, scale=t)
 
 

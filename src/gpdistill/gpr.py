@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -37,6 +37,8 @@ class Dataset:
             raise ValueError(f"{len(self.xs)} inputs but {len(self.ys)} targets")
         if len(self.xs) < 1:
             raise ValueError("dataset must contain at least one observation")
+        if not (np.all(np.isfinite(self.xs)) and np.all(np.isfinite(self.ys))):
+            raise ValueError("inputs and targets must be finite")
 
     @property
     def n(self) -> int:
@@ -116,22 +118,40 @@ def predict_gpr(model: GprModel, test_xs) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class PosteriorGP:
-    """A Gaussian process represented by evaluable mean and covariance functions.
+    """A GP conditioned on observations at the fixed inputs X = train_xs.
 
-    Used wherever a posterior must serve as the prior of a further fit, so both
-    functions accept arbitrary points.
+    mean(a) = m(a) + k(a, X) c and cov(a, b) = k(a, b) - k(a, X) M k(X, b),
+    with c = weights (N,) and M = inner (N, N) (GPML eqs. 2.24, 3.24). Each
+    posterior of a chain that keeps conditioning on X has this form, so the
+    record stays the same size however deep the chain is, and evaluating it
+    costs the same at every step. Without weights and inner it is the prior
+    GP(m, k).
     """
 
-    mean_fn: MeanFn
-    kernel_fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    train_xs: np.ndarray
+    params: KernelParams
+    weights: np.ndarray | None = None
+    inner: np.ndarray | None = None
+    prior_mean: MeanFn = zero_mean
+
+    def __post_init__(self):
+        object.__setattr__(self, "train_xs", as_points(self.train_xs))
+        n = len(self.train_xs)
+        if self.weights is None:
+            object.__setattr__(self, "weights", np.zeros(n))
+        if self.inner is None:
+            object.__setattr__(self, "inner", np.zeros((n, n)))
 
     def mean(self, xs) -> np.ndarray:
-        return self.mean_fn(as_points(xs))
+        pts = as_points(xs)
+        return self.prior_mean(pts) + kernel_matrix(pts, self.train_xs, self.params) @ self.weights
 
     def cov(self, xs1, xs2=None) -> np.ndarray:
         a = as_points(xs1)
         b = a if xs2 is None else as_points(xs2)
-        values = self.kernel_fn(a, b)
+        k_ax = kernel_matrix(a, self.train_xs, self.params)
+        k_bx = k_ax if xs2 is None else kernel_matrix(b, self.train_xs, self.params)
+        values = kernel_matrix(a, b, self.params) - k_ax @ self.inner @ k_bx.T
         if xs2 is None:
             values = 0.5 * (values + values.T)
         return values
@@ -139,24 +159,19 @@ class PosteriorGP:
     def var(self, xs) -> np.ndarray:
         return np.maximum(np.diag(self.cov(xs)), 0.0)
 
+    def condition(self, alpha: np.ndarray, A: np.ndarray) -> PosteriorGP:
+        """The posterior after one more step at X, taking this GP as the prior.
 
-def prior_gp(params: KernelParams) -> PosteriorGP:
-    """The zero-mean GP prior with the given RBF kernel."""
-    return PosteriorGP(
-        mean_fn=zero_mean,
-        kernel_fn=lambda a, b: kernel_matrix(a, b, params),
-    )
+        The step's posterior has mean m_t(a) + k_t(a, X) alpha and covariance
+        k_t(a, b) - k_t(a, X) A k_t(X, b), where k_t(a, X) = k(a, X)(I - M K);
+        hence c + (I - M K) alpha and M + (I - M K) A (I - K M).
+        """
+        K = kernel_matrix(self.train_xs, self.train_xs, self.params)
+        B = np.eye(len(K)) - self.inner @ K
+        return replace(self, weights=self.weights + B @ alpha, inner=self.inner + B @ A @ B.T)
 
 
 def posterior_gp(model: GprModel) -> PosteriorGP:
-    """Wrap a fitted regression model as an evaluable GP for further distillation."""
-
-    def mean_fn(xs):
-        return model.prior_mean(xs) + kernel_matrix(xs, model.train_xs, model.params) @ model.alpha_weights
-
-    def kernel_fn(a, b):
-        ka = kernel_matrix(a, model.train_xs, model.params)
-        kb = kernel_matrix(model.train_xs, b, model.params)
-        return kernel_matrix(a, b, model.params) - ka @ model.decomp.solve_shifted(kb, model.noise)
-
-    return PosteriorGP(mean_fn=mean_fn, kernel_fn=kernel_fn)
+    """A fitted regression model as a PosteriorGP, e.g. to serve as a further prior."""
+    inner = model.decomp.solve_shifted(np.eye(len(model.train_xs)), model.noise)
+    return PosteriorGP(model.train_xs, model.params, model.alpha_weights, inner, model.prior_mean)

@@ -8,8 +8,8 @@ Two procedures are implemented side by side:
   extra step to a diagonal update. Both must agree to high precision, so each
   serves as the other's oracle.
 * distribution-centric: each step uses the previous posterior GP as the prior.
-  The literal recursion is kept (as closures over evaluable mean/covariance
-  functions) alongside its closed-form solution, which collapses any number of
+  The literal recursion is kept, one conditioning of a fixed-size PosteriorGP
+  per step, alongside its closed-form solution, which collapses any number of
   steps into one ordinary fit with a pooled effective noise.
 """
 
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .gpr import Dataset, PosteriorGP, fit_gpr, predict_gpr, prior_gp
+from .gpr import Dataset, PosteriorGP, fit_gpr, predict_gpr
 from .kernels import (
     KernelParams,
     SingularSystemError,
@@ -187,48 +187,29 @@ def data_centric_predict(
 # ---------------------------------------------------------------------------
 
 
-def _condition_on(gp: PosteriorGP, xs: np.ndarray, ys: np.ndarray, gamma: float) -> PosteriorGP:
-    """One conditioning step: posterior of `gp` given observations with noise gamma."""
-    K_t = gp.cov(xs)
-    n = len(xs)
-    try:
-        factor = cho_factor(K_t + gamma * np.eye(n), lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"K_t + {gamma}*I is not positive definite") from exc
-    coef = cho_solve(factor, ys - gp.mean(xs))
-    prev_mean, prev_kernel = gp.mean_fn, gp.kernel_fn
-
-    def mean_fn(a):
-        return prev_mean(a) + prev_kernel(a, xs) @ coef
-
-    def kernel_fn(a, b):
-        # One stacked evaluation of the previous kernel keeps the recursion
-        # linear in depth instead of branching per term.
-        big = prev_kernel(np.vstack([a, xs]), np.vstack([b, xs]))
-        k_ab = big[: len(a), : len(b)]
-        k_ax = big[: len(a), len(b):]
-        k_xb = big[len(a):, : len(b)]
-        return k_ab - k_ax @ cho_solve(factor, k_xb)
-
-    return PosteriorGP(mean_fn=mean_fn, kernel_fn=kernel_fn)
-
-
 def distribution_centric_recursive(
     data: Dataset, params: KernelParams, schedule: DistillSchedule, steps: int
 ) -> list[PosteriorGP]:
     """Literal posterior-becomes-prior recursion; returns the GP after each step.
 
     Step t conditions the step t-1 posterior on the original data with noise
-    gamma_{t-1}. Kept deliberately independent of the closed form below so the
-    two can cross-check each other.
+    gamma_{t-1}, through a Cholesky solve with its own covariance K_t at the
+    training inputs. Kept deliberately independent of the closed form below so
+    the two can cross-check each other.
     """
     if steps < 1 or steps > len(schedule):
         raise ValueError(f"steps must lie in [1, {len(schedule)}], got {steps}")
-    xs = as_points(data.xs)
-    current = prior_gp(params)
+    xs = data.xs
+    eye = np.eye(data.n)
+    current = PosteriorGP(xs, params)
     out = []
-    for t in range(steps):
-        current = _condition_on(current, xs, data.ys, schedule.gammas[t])
+    for gamma in schedule.gammas[:steps]:
+        try:
+            factor = cho_factor(current.cov(xs) + gamma * eye, lower=True)
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystemError(f"K_t + {gamma}*I is not positive definite") from exc
+        alpha = cho_solve(factor, data.ys - current.mean(xs))
+        current = current.condition(alpha, cho_solve(factor, eye))
         out.append(current)
     return out
 

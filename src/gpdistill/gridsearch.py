@@ -8,14 +8,43 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gpr import Dataset
-from .kernels import KernelParams, gram, spectral_decompose
-from .laplace import BERNOULLI, CONTINUOUS_BERNOULLI, BinaryDataset, laplace_marginal_loglik, laplace_mode
+from .kernels import (
+    IndefiniteKernelError,
+    KernelParams,
+    SingularSystemError,
+    gram,
+    spectral_decompose,
+)
+from .laplace import (
+    BERNOULLI,
+    CONTINUOUS_BERNOULLI,
+    BinaryDataset,
+    HessianNotPositiveDefinite,
+    NewtonDidNotConverge,
+    laplace_marginal_loglik,
+    laplace_mode,
+)
 
 OBJECTIVES = ("gpr_nll", "gpc_bernoulli_nll", "gpc_cb_nll")
 
 # Used when the caller supplies no explicit axes; runs record the resolved
 # values in their manifests.
 DEFAULT_GRID_AXIS = tuple(np.logspace(-2, 2, 16))
+
+
+class GridSearchFailed(RuntimeError):
+    """No grid cell produced a finite objective; chained from the last cell's error."""
+
+
+# Failures of a fit that a sweep records as +inf; anything else is a bug and propagates.
+NUMERICAL_ERRORS = (
+    SingularSystemError,
+    IndefiniteKernelError,
+    NewtonDidNotConverge,
+    HessianNotPositiveDefinite,
+    GridSearchFailed,
+    np.linalg.LinAlgError,
+)
 
 
 @dataclass(frozen=True)
@@ -92,8 +121,8 @@ def grid_search(
 
     Ties break toward the smallest sigma_f, then the smallest length scale,
     then the smallest noise, which the iteration order guarantees. Cells whose
-    fit fails record +inf rather than aborting the sweep (grid corners
-    frequently break Newton convergence).
+    fit fails numerically record +inf rather than aborting the sweep (grid
+    corners frequently break Newton convergence); other errors propagate.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
@@ -105,6 +134,7 @@ def grid_search(
 
     cells: list[GridCell] = []
     best: GridCell | None = None
+    last_error: Exception | None = None
     for sigma_f in sorted(grid.sigma_f_values):
         for length_scale in sorted(grid.length_scale_values):
             for noise in sorted(noise_axis):
@@ -115,14 +145,18 @@ def grid_search(
                     nll = _cell_nll(data, params, noise, objective)
                     if not np.isfinite(nll):
                         nll = math.inf
-                except Exception:
+                except NUMERICAL_ERRORS as exc:
                     nll = math.inf
+                    last_error = exc
                 cell = GridCell(sigma_f=sigma_f, length_scale=length_scale, noise=noise, nll=nll)
                 cells.append(cell)
                 if best is None or cell.nll < best.nll:
                     best = cell
     if best is None or not math.isfinite(best.nll):
-        raise RuntimeError("every grid cell failed to produce a finite objective")
+        reason = f"; last failure: {last_error}" if last_error is not None else ""
+        raise GridSearchFailed(
+            f"every grid cell failed to produce a finite objective{reason}"
+        ) from last_error
     best_params = KernelParams(
         signal_variance=best.sigma_f**2, length_scale=best.length_scale, jitter=jitter
     )

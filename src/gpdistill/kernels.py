@@ -49,12 +49,13 @@ class KernelParams:
     jitter: float = DEFAULT_JITTER
 
     def __post_init__(self):
-        if not self.signal_variance > 0:
-            raise ValueError(f"signal_variance must be positive, got {self.signal_variance}")
-        if not self.length_scale > 0:
-            raise ValueError(f"length_scale must be positive, got {self.length_scale}")
-        if self.jitter < 0:
-            raise ValueError(f"jitter must be non-negative, got {self.jitter}")
+        sv, ls, jitter = self.signal_variance, self.length_scale, self.jitter
+        if not 0 < sv < np.inf:
+            raise ValueError(f"signal_variance must be positive and finite, got {sv}")
+        if not 0 < ls < np.inf:
+            raise ValueError(f"length_scale must be positive and finite, got {ls}")
+        if not 0 <= jitter < np.inf:
+            raise ValueError(f"jitter must be non-negative and finite, got {jitter}")
 
 
 def rbf_kernel(x1, x2, params: KernelParams) -> float:

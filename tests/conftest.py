@@ -13,3 +13,34 @@ def rel_err(actual, expected) -> float:
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def evaluation_cost(monkeypatch):
+    """Kernel calls and entries (sum of result sizes) spent evaluating a PosteriorGP.
+
+    Patches the kernel_matrix binding that gpdistill.gpr evaluates with while
+    the posterior's mean and covariance are computed at xs.
+    """
+    import gpdistill.gpr as gpr_module
+
+    real = gpr_module.kernel_matrix
+
+    def measure(gp, xs) -> dict:
+        counts = {"calls": 0, "entries": 0}
+
+        def counting(a, b, params):
+            out = real(a, b, params)
+            counts["calls"] += 1
+            counts["entries"] += out.size
+            return out
+
+        monkeypatch.setattr(gpr_module, "kernel_matrix", counting)
+        try:
+            gp.mean(xs)
+            gp.cov(xs)
+        finally:
+            monkeypatch.setattr(gpr_module, "kernel_matrix", real)
+        return counts
+
+    return measure

@@ -125,6 +125,19 @@ class TestExitCodes:
         assert code == 2
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_grid_search_with_every_cell_singular_is_two(self, tmp_path, capsys):
+        # 300 close inputs and the default zero noise: K + 0*I is singular in every cell
+        reg = tmp_path / "reg.csv"
+        run("gen-data", "--kind", "regression", "--n", "300", "--seed", "0", "--out", reg)
+        capsys.readouterr()
+        code = run("grid-search", "--data", reg, "--objective", "gpr",
+                   "--sigma-f-grid", "0.5,2", "--length-scale-grid", "1,10",
+                   "--out", tmp_path / "grid.csv")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "every grid cell" in err
+        assert "singular" in err
+
     def test_unknown_experiment_is_usage_error(self, tmp_path):
         assert run("reproduce", "nope", "--out-dir", tmp_path) == 1
 

@@ -253,6 +253,14 @@ class TestDistributionCentric:
         w = [s.fit.w_diag for s in steps]
         assert not np.allclose(w[0], w[2], atol=1e-12)
 
+    def test_evaluation_cost_independent_of_depth(self, rng, evaluation_cost):
+        data, params = binary_instance(rng)
+        steps = distribution_centric_gpc_iterated(data, params, 10)
+        test_xs = np.linspace(-1, 8, 25)
+        first = evaluation_cost(steps[0].posterior, test_xs)
+        assert first["calls"] > 0
+        assert evaluation_cost(steps[9].posterior, test_xs) == first
+
 
 class TestScaled:
     def test_single_scale_is_ordinary_fit(self, rng):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import rel_err
-from gpdistill.gpr import Dataset, fit_gpr, predict_gpr
+from gpdistill.gpr import Dataset, PosteriorGP, fit_gpr, predict_gpr
 from gpdistill.kernels import KernelParams, SingularSystemError, gram, kernel_matrix, spectral_decompose
 
 
@@ -62,6 +62,18 @@ class TestFitGpr:
         p = KernelParams(1.0, 1.0)
         with pytest.raises(ValueError):
             fit_gpr(Dataset([[0.0]], [1.0]), p, noise=-0.1)
+
+
+class TestDataset:
+    @pytest.mark.parametrize("xs, ys", [
+        ([[0.0], [np.nan]], [0.0, 1.0]),
+        ([[0.0], [np.inf]], [0.0, 1.0]),
+        ([[0.0], [1.0]], [np.nan, 1.0]),
+        ([[0.0], [1.0]], [0.0, -np.inf]),
+    ])
+    def test_non_finite_rejected(self, xs, ys):
+        with pytest.raises(ValueError, match="finite"):
+            Dataset(xs, ys)
 
 
 class TestPredictGpr:
@@ -142,3 +154,17 @@ class TestPosteriorGp:
         assert rel_err(gp.mean(test_xs), mean) < 1e-12
         assert rel_err(gp.cov(test_xs), cov) < 1e-10
         assert np.all(gp.var(test_xs) >= 0)
+
+    def test_condition_matches_noisy_fit(self, rng):
+        # conditioning the prior once with alpha = (K + gI)^-1 y and
+        # A = (K + gI)^-1 is the ordinary noisy fit
+        p = KernelParams(signal_variance=1.3, length_scale=0.6)
+        data = Dataset(rng.uniform(-2, 2, size=(6, 1)), rng.normal(size=6))
+        inv = np.linalg.inv(gram(data.xs, p).values + 0.4 * np.eye(6))
+        gp = PosteriorGP(data.xs, p).condition(inv @ data.ys, inv)
+        test_xs = rng.uniform(-2, 2, size=(4, 1))
+        mean_o, cov_o = dense_posterior(data, p, 0.4, test_xs)
+        assert rel_err(gp.mean(test_xs), mean_o) < 1e-10
+        assert rel_err(gp.cov(test_xs), cov_o) < 1e-10
+        cross_o = 0.4 * kernel_matrix(test_xs, data.xs, p) @ inv
+        assert rel_err(gp.cov(test_xs, data.xs), cross_o) < 1e-10

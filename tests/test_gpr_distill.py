@@ -245,6 +245,15 @@ class TestDistributionCentric:
             lam_t = np.sort(np.linalg.eigvalsh(gp.cov(data.xs)))
             np.testing.assert_allclose(lam_t, lam0 / (lam0 * gm + 1.0), atol=1e-10)
 
+    def test_evaluation_cost_independent_of_depth(self, rng, evaluation_cost):
+        data, params = random_instance(rng, n=8)
+        sched = DistillSchedule(gammas=tuple(rng.uniform(0.1, 2.0, size=10)))
+        steps = distribution_centric_recursive(data, params, sched, 10)
+        test_xs = rng.uniform(-3, 3, size=(25, 1))
+        first = evaluation_cost(steps[0], test_xs)
+        assert first["calls"] > 0
+        assert evaluation_cost(steps[9], test_xs) == first
+
     def test_closed_form_single_step(self, rng):
         data, params = random_instance(rng)
         sched = DistillSchedule(gammas=(0.7,))

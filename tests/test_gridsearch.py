@@ -5,7 +5,7 @@ import pytest
 from scipy.stats import multivariate_normal
 
 from gpdistill.gpr import Dataset
-from gpdistill.gridsearch import GridSpec, gpr_marginal_nll, grid_search
+from gpdistill.gridsearch import NUMERICAL_ERRORS, GridSpec, gpr_marginal_nll, grid_search
 from gpdistill.kernels import KernelParams, gram
 from gpdistill.laplace import BinaryDataset
 
@@ -126,6 +126,31 @@ class TestGridSearch:
                 GridSpec(sigma_f_values=(1.0,), length_scale_values=(1.0,)),
                 objective="gpr_nll",
             )
+
+    def test_total_failure_is_numerical_and_chained(self, rng, monkeypatch):
+        data = regression_data(rng)
+        boom = np.linalg.LinAlgError("boom")
+
+        def explode(*args, **kwargs):
+            raise boom
+
+        monkeypatch.setattr("gpdistill.gridsearch.gpr_marginal_nll", explode)
+        spec = GridSpec(sigma_f_values=(1.0, 2.0), length_scale_values=(1.0,))
+        with pytest.raises(NUMERICAL_ERRORS, match="boom") as info:
+            grid_search(data, spec, objective="gpr_nll")
+        assert isinstance(info.value, RuntimeError)
+        assert info.value.__cause__ is boom
+
+    def test_non_numerical_error_propagates(self, rng, monkeypatch):
+        data = regression_data(rng)
+
+        def broken(*args, **kwargs):
+            raise TypeError("a bug, not a numerical failure")
+
+        monkeypatch.setattr("gpdistill.gridsearch._cell_nll", broken)
+        spec = GridSpec(sigma_f_values=(1.0,), length_scale_values=(1.0, 2.0))
+        with pytest.raises(TypeError, match="a bug"):
+            grid_search(data, spec, objective="gpr_nll", fixed_noise=0.1)
 
     def test_partial_failure_still_finds_minimum(self, rng, monkeypatch):
         import gpdistill.gridsearch as gs

@@ -23,6 +23,17 @@ class TestKernelParams:
         with pytest.raises(ValueError):
             KernelParams(signal_variance=1.0, length_scale=1.0, jitter=-1e-9)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"signal_variance": math.inf, "length_scale": 1.0},
+        {"signal_variance": 1.0, "length_scale": math.inf},
+        {"signal_variance": 1.0, "length_scale": 1.0, "jitter": math.inf},
+        {"signal_variance": math.nan, "length_scale": 1.0},
+        {"signal_variance": 1.0, "length_scale": 1.0, "jitter": math.nan},
+    ])
+    def test_non_finite_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="finite"):
+            KernelParams(**kwargs)
+
     def test_jitter_default(self):
         assert KernelParams(1.0, 1.0).jitter == 1e-8
 

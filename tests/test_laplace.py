@@ -12,6 +12,7 @@ from gpdistill.laplace import (
     BERNOULLI,
     CONTINUOUS_BERNOULLI,
     BinaryDataset,
+    CurvatureFactor,
     HessianNotPositiveDefinite,
     LaplaceFit,
     NewtonDidNotConverge,
@@ -54,6 +55,15 @@ class TestBinaryDataset:
             BinaryDataset([[0.0]], [1.5])
         with pytest.raises(ValueError):
             BinaryDataset([[0.0], [1.0]], [0.0])
+
+    @pytest.mark.parametrize("xs, ys", [
+        ([[0.0], [1.0]], [0.0, np.nan]),
+        ([[0.0], [np.nan]], [0.0, 1.0]),
+        ([[0.0], [np.inf]], [0.0, 1.0]),
+    ])
+    def test_non_finite_rejected(self, xs, ys):
+        with pytest.raises(ValueError, match="finite"):
+            BinaryDataset(xs, ys)
 
     def test_strictly_binary_flag(self):
         assert BinaryDataset([[0.0], [1.0]], [0.0, 1.0]).strictly_binary
@@ -222,6 +232,31 @@ class TestPredictLatent:
         )
         with pytest.raises(ValueError, match="converged"):
             gpc_predict_latent(bad, K, xs, xs, params)
+
+
+class TestCurvatureFactor:
+    @pytest.mark.parametrize("zero_entry", [False, True])
+    def test_solve_and_logdet_match_dense(self, rng, zero_entry):
+        xs, ys, params, K = separated_problem(rng)
+        w = laplace_mode(ys, K).w_diag.copy()
+        if zero_entry:
+            w[3] = 0.0
+        factor = CurvatureFactor(K, w)
+        assert factor.positive is not zero_entry
+        W, eye = np.diag(w), np.eye(len(w))
+        dense = np.linalg.solve(W @ K.values + eye, W)
+        np.testing.assert_allclose(factor.solve(eye), dense, atol=1e-12)
+        rhs = rng.normal(size=(len(w), 3))
+        np.testing.assert_allclose(factor.solve(rhs), dense @ rhs, atol=1e-12)
+        sign, logdet = np.linalg.slogdet(eye + K.values @ W)
+        assert sign > 0
+        assert factor.logdet() == pytest.approx(logdet, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("w", [np.array([1.0, 1.0]), np.array([1.0, 0.0])])
+    def test_failed_factorization_raises(self, w):
+        K = np.array([[-2.0, 0.0], [0.0, -1.0]])  # I + W K is singular or indefinite
+        with pytest.raises(HessianNotPositiveDefinite):
+            CurvatureFactor(K, w).logdet()
 
 
 class TestPredictProba:
