@@ -9,17 +9,24 @@ loader dispatches on.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..gpr import GprModel
-from ..kernels import KernelParams, as_points, kernel_matrix
-from ..laplace import CurvatureFactor, LaplaceFit, sigmoid_gaussian_mean
+from ..gpc_distill import posterior_proba
+from ..gpr import GprModel, PosteriorGP
+from ..kernels import KernelParams, as_points, gram, kernel_matrix
+from ..laplace import CurvatureFactor, LaplaceFit
 
 FORMAT_VERSION = 1
 
 METHOD_TAGS = ("gpr", "gpr-data", "gpr-dist", "gpc", "gpc-data", "gpc-dist")
+
+# Payload entries each method family needs in order to predict.
+_REQUIRED_KEYS = {
+    "gpr": ("train_xs", "alpha_weights", "noise"),
+    "gpc": ("train_xs", "alpha_weights", "w_diag"),
+}
 
 
 class ArtifactError(ValueError):
@@ -77,9 +84,41 @@ def load_model(path) -> ModelArtifact:
             length_scale=kp["length_scale"],
             jitter=kp["jitter"],
         )
-        return ModelArtifact(method=doc["method"], kernel_params=params, payload=doc["payload"])
+        artifact = ModelArtifact(
+            method=doc["method"], kernel_params=params, payload=doc["payload"]
+        )
+        _check_payload(artifact.method, artifact.payload)
     except (KeyError, TypeError, ValueError) as exc:
         raise ArtifactError(f"{path}: malformed model file: {exc}") from exc
+    return artifact
+
+
+def _check_payload(method: str, payload) -> None:
+    """Raise ValueError unless the payload can drive predict_from_artifact."""
+    if not isinstance(payload, dict):
+        raise ValueError(f"payload must be an object, got {type(payload).__name__}")
+    required = _REQUIRED_KEYS[method.split("-")[0]]
+    missing = [key for key in required if key not in payload]
+    if missing:
+        raise ValueError(f"payload lacks {', '.join(missing)}")
+    xs = as_points(payload["train_xs"])
+    vectors = {key: np.asarray(payload[key], dtype=float)
+               for key in ("alpha_weights", "w_diag") if key in required}
+    scalars = {key: float(payload[key])
+               for key in ("noise", "kernel_scale", "diag_shift") if key in payload}
+    if not all(np.all(np.isfinite(v)) for v in (xs, *vectors.values(), *scalars.values())):
+        raise ValueError("payload values must be finite")
+    if len(xs) < 1:
+        raise ValueError("train_xs holds no points")
+    for key, vector in vectors.items():
+        if vector.shape != (len(xs),):
+            raise ValueError(f"{key} has shape {vector.shape} for {len(xs)} training inputs")
+    if np.any(vectors.get("w_diag", 0.0) < 0.0):
+        raise ValueError("w_diag must be non-negative")
+    if scalars.get("kernel_scale", 1.0) <= 0.0:
+        raise ValueError("kernel_scale must be positive")
+    if scalars.get("diag_shift", 0.0) < 0.0 or scalars.get("noise", 0.0) < 0.0:
+        raise ValueError("diag_shift and noise must be non-negative")
 
 
 # ---------------------------------------------------------------------------
@@ -130,33 +169,27 @@ def predict_from_artifact(artifact: ModelArtifact, test_xs) -> np.ndarray:
     """Deterministic predictions from a stored model.
 
     Regression methods return a mean vector; classification methods return
-    quadrature class-1 probabilities. The Gram pieces are rebuilt from the
-    stored inputs with the same arithmetic used at fit time, so results match
-    the original model bit for bit.
+    quadrature class-1 probabilities of the stored fit as a PosteriorGP. The
+    Gram pieces are rebuilt from the stored inputs with the library's own
+    assembly, so a loaded model predicts bit for bit what it did before saving.
     """
     payload = artifact.payload
     params = artifact.kernel_params
     train_xs = np.asarray(payload["train_xs"], dtype=float)
     pts = as_points(test_xs)
-    k_star = kernel_matrix(pts, train_xs, params)
+    alpha = np.asarray(payload["alpha_weights"], dtype=float)
 
     if artifact.method in ("gpr", "gpr-data", "gpr-dist"):
-        alpha = np.asarray(payload["alpha_weights"], dtype=float)
-        return k_star @ alpha
+        return kernel_matrix(pts, train_xs, params) @ alpha
 
     if artifact.method in ("gpc", "gpc-data", "gpc-dist"):
         scale = float(payload.get("kernel_scale", 1.0))
-        diag_shift = float(payload.get("diag_shift", 0.0))
-        alpha = np.asarray(payload["alpha_weights"], dtype=float)
+        scaled = replace(params, signal_variance=scale * params.signal_variance)
+        # the Gram the stored fit ran on: scaled kernel, jitter and diag_shift
+        K = gram(train_xs, scaled, add_jitter=True).values
+        K[np.diag_indices_from(K)] += float(payload.get("diag_shift", 0.0))
         w = np.asarray(payload["w_diag"], dtype=float)
-        K = scale * kernel_matrix(train_xs, train_xs, params)
-        K[np.diag_indices_from(K)] = scale * params.signal_variance + params.jitter + diag_shift
-        ks = scale * k_star
-        mu = ks @ alpha
-        k_ss = scale * kernel_matrix(pts, pts, params)
-        np.fill_diagonal(k_ss, scale * params.signal_variance)
-        cov = k_ss - ks @ CurvatureFactor(K, w).solve(ks.T)
-        cov = 0.5 * (cov + cov.T)
-        return sigmoid_gaussian_mean(mu, np.maximum(np.diag(cov), 0.0))
+        gp = PosteriorGP(train_xs, scaled, alpha, CurvatureFactor(K, w).solve(np.eye(len(K))))
+        return posterior_proba(gp, pts, "quadrature")
 
     raise ArtifactError(f"no predictor for method {artifact.method!r}")

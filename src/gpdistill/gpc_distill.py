@@ -174,8 +174,8 @@ def distribution_centric_gpc_iterated(
             raise NewtonDidNotConverge(
                 f"step {t} of {steps} failed: {exc}", grad_norm=exc.grad_norm
             ) from exc
-        # the jitter belongs to the mode-finding solve only; (K_t + W^-1) is
-        # already well-conditioned
+        # the fit adds the jitter so that step 1 solves the mode problem of the
+        # scaled fit at t=1; like that fit, the update conditions on bare K_t
         current = current.condition(fit.alpha_weights,
                                     CurvatureFactor(K_t, fit.w_diag).solve(eye))
         out.append(GpcDistillStep(fit=fit, posterior=current))

@@ -1,10 +1,11 @@
 """Binary GP classification through the Laplace approximation.
 
-Newton-Raphson mode finding is organized so that neither K^-1 nor W^-1 is ever
-formed: the update solves (I + K W) systems. Everything after the mode (the
-predictive covariance, the evidence's determinant and the posterior handed on
-to a further fit) goes through one CurvatureFactor of (K, w), which applies
-(K + W^-1)^-1 and gives log|I + K W| from a single factorization.
+Every factorization goes through one CurvatureFactor of (K, w), which applies
+(K + W^-1)^-1 and gives log|I + K W|. Newton-Raphson mode finding (GPML
+Alg. 3.1) builds one per iteration and carries alpha with f = K alpha + m, so
+neither K^-1 nor W^-1 is ever formed and K need not be invertible. After the
+mode, the same factor serves the predictive covariance, the evidence's
+determinant and the posterior handed on to a further fit.
 The same machinery serves the ordinary Bernoulli likelihood and the continuous
 Bernoulli variant used for distillation targets in [0, 1]; the latter only adds
 the closed-form normalizer terms to the log-likelihood, its gradient, and its
@@ -18,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
-from scipy.linalg import cho_factor, cho_solve, lu_factor, lu_solve
+from scipy.linalg import lu_factor, lu_solve, solve_triangular
 from scipy.special import expit
 
 from .cont_bernoulli import cb_terms
@@ -82,8 +83,9 @@ class LaplaceFit:
 
     w_diag is the effective likelihood curvature at the mode: sigma(1-sigma)
     for the Bernoulli likelihood, minus the normalizer's second derivative for
-    the continuous Bernoulli. alpha_weights satisfies K alpha = f_hat - m at
-    the mode, so predictions never touch K^-1.
+    the continuous Bernoulli. alpha_weights is the alpha that Newton carries,
+    so K alpha = f_hat - m holds by construction and predictions never touch
+    K^-1.
     """
 
     f_hat: np.ndarray
@@ -128,11 +130,16 @@ def laplace_mode(
     grad_tol: float = GRAD_TOL,
     record_path: bool = False,
 ) -> LaplaceFit:
-    """Find the posterior mode by damped Newton-Raphson.
+    """Find the posterior mode by damped Newton-Raphson (GPML Alg. 3.1 with a prior mean).
 
     `data` may be a BinaryDataset or a bare target vector; `K` a GramMatrix or
-    ndarray (expected to carry jitter so it is positive definite).
-    Convergence is declared when the accepted Newton step drops below step_tol
+    ndarray. The iteration carries alpha with f = K alpha + m, so K is never
+    inverted and need not be positive definite (a duplicated input without
+    jitter is fine). Each iteration builds one CurvatureFactor(K, w) and moves
+    alpha toward b - (K + W^-1)^-1 K b with b = W (f - m) + grad log p.
+    The log posterior is psi = log p(y|f) - alpha^T (f - m) / 2 and its gradient
+    grad log p - alpha.
+    Convergence is declared when the accepted step in f drops below step_tol
     in the infinity norm, or the gradient of the log posterior below grad_tol,
     whichever happens first. Steps that would decrease the log posterior are
     halved (up to MAX_HALVINGS); the likelihoods here are log-concave, so that
@@ -140,54 +147,30 @@ def laplace_mode(
     """
     y = np.asarray(data.ys if isinstance(data, BinaryDataset) else data, dtype=float).ravel()
     K_values = K.values if isinstance(K, GramMatrix) else np.asarray(K, dtype=float)
-    n = len(y)
-    m = np.zeros(n) if prior_mean is None else np.asarray(prior_mean, dtype=float).ravel()
+    m = np.zeros(len(y)) if prior_mean is None else np.asarray(prior_mean, dtype=float).ravel()
 
-    try:
-        K_factor = cho_factor(K_values, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise HessianNotPositiveDefinite("prior covariance is not positive definite") from exc
-
-    def psi(f: np.ndarray) -> float:
-        value, _, _ = _loglik_parts(f, y, likelihood)
-        diff = f - m
-        return value - 0.5 * float(diff @ cho_solve(K_factor, diff))
-
-    def grad_inf_norm(f: np.ndarray, grad_ll: np.ndarray) -> float:
-        return float(np.max(np.abs(grad_ll - cho_solve(K_factor, f - m))))
-
+    alpha = np.zeros(len(y))
     f = m.copy()
-    psi_cur = psi(f)
+    psi_cur, grad_ll, curv = _loglik_parts(f, y, likelihood)  # alpha = 0: psi = log p
     psi_path = [psi_cur]
     f_path = [f.copy()] if record_path else None
     converged = False
     iterations = 0
-    alpha = None
-    grad_norm = np.inf
 
     for iterations in range(1, max_iters + 1):
-        _, grad_ll, curv = _loglik_parts(f, y, likelihood)
-        grad_norm = grad_inf_norm(f, grad_ll)
-        if grad_norm < grad_tol:
+        if float(np.max(np.abs(grad_ll - alpha))) < grad_tol:
             converged = True
             iterations -= 1
             break
-        # f_target solves (I + K W) f = K (W f + grad_ll) + m, the Newton step
-        # rearranged to avoid K^-1.
-        u = curv * f + grad_ll
-        B = np.eye(n) + K_values * curv[None, :]
-        try:
-            f_target = np.linalg.solve(B, K_values @ u + m)
-        except np.linalg.LinAlgError as exc:
-            raise HessianNotPositiveDefinite(
-                f"Newton system singular at iteration {iterations}"
-            ) from exc
-        step = f_target - f
+        b = curv * (f - m) + grad_ll
+        step = b - CurvatureFactor(K_values, curv).solve(K_values @ b) - alpha
         eta = 1.0
         slack = 1e-12 * max(1.0, abs(psi_cur))
         for _ in range(MAX_HALVINGS + 1):
-            f_new = f + eta * step
-            psi_new = psi(f_new)
+            alpha_new = alpha + eta * step
+            f_new = K_values @ alpha_new + m
+            value, grad_new, curv_new = _loglik_parts(f_new, y, likelihood)
+            psi_new = value - 0.5 * float(alpha_new @ (f_new - m))
             if psi_new >= psi_cur - slack:
                 break
             eta *= 0.5
@@ -196,23 +179,17 @@ def laplace_mode(
                 f"Newton step rejected after {MAX_HALVINGS} halvings at iteration "
                 f"{iterations}; log posterior would decrease from {psi_cur:g} to {psi_new:g}"
             )
-        if eta == 1.0:
-            # Full step taken: f_new = K(u - W f_new) + m exactly, which gives
-            # the K alpha = f - m certificate for free.
-            alpha = u - curv * f_new
-        else:
-            alpha = None
-        f = f_new
+        f_moved = float(np.max(np.abs(f_new - f)))
+        alpha, f, grad_ll, curv = alpha_new, f_new, grad_new, curv_new
         psi_cur = psi_new
         psi_path.append(psi_cur)
         if record_path:
             f_path.append(f.copy())
-        if float(np.max(np.abs(eta * step))) < step_tol:
+        if f_moved < step_tol:
             converged = True
             break
 
-    _, grad_ll, curv = _loglik_parts(f, y, likelihood)
-    grad_norm = grad_inf_norm(f, grad_ll)
+    grad_norm = float(np.max(np.abs(grad_ll - alpha)))
     if grad_norm < grad_tol:
         converged = True
     if not converged:
@@ -220,10 +197,6 @@ def laplace_mode(
             f"no convergence after {max_iters} iterations (gradient norm {grad_norm:g})",
             grad_norm=grad_norm,
         )
-    if alpha is None:
-        # Converged on the gradient criterion (or after a damped step): at the
-        # mode K^-1 (f - m) equals the likelihood gradient.
-        alpha = grad_ll
     return LaplaceFit(
         f_hat=f,
         w_diag=curv,
@@ -239,28 +212,29 @@ def laplace_mode(
 
 
 class CurvatureFactor:
-    """One factorization of (K, w) for the solves and the determinant after the mode.
+    """One factorization of (K, w) for the Newton step, the prediction and the evidence.
 
     With every w > 0 it is the Cholesky factor L of B = I + W^(1/2) K W^(1/2),
-    and (K + W^-1)^-1 = W^(1/2) B^-1 W^(1/2) = H^T H with H = L^-1 W^(1/2).
-    Solves are two products with H, formed on first use, so they run on numpy's
-    BLAS like the Newton solve: multi-column triangular solves through scipy's
-    separately bundled BLAS made the scaled fit at N=120 several times slower
-    on two cores. Otherwise it is the LU factor of W K + I, and
-    (K + W^-1)^-1 = (W K + I)^-1 W. W^-1 is never formed.
+    and (K + W^-1)^-1 = W^(1/2) B^-1 W^(1/2). A vector is solved with two
+    triangular solves against L. A matrix is solved as two products with
+    H = L^-1 W^(1/2), formed on first use, so it runs on numpy's BLAS:
+    multi-column triangular solves through scipy's separately bundled BLAS made
+    the scaled fit at N=120 several times slower on two cores. Otherwise it is
+    the LU factor of W K + I, and (K + W^-1)^-1 = (W K + I)^-1 W. Neither K^-1
+    nor W^-1 is ever formed, so K need not be invertible.
     """
 
     def __init__(self, K, w: np.ndarray):
         K_values = K.values if isinstance(K, GramMatrix) else np.asarray(K, dtype=float)
-        self.w = np.asarray(w, dtype=float)[:, None]
+        self.w = np.asarray(w, dtype=float)
         eye = np.eye(len(self.w))
         self.positive = bool(np.all(self.w > 0.0))
         try:
             if self.positive:
-                sw = np.sqrt(self.w)
-                self.chol = np.linalg.cholesky(eye + sw * K_values * sw.T)
+                self.sw = np.sqrt(self.w)
+                self.chol = np.linalg.cholesky(eye + self.sw[:, None] * K_values * self.sw)
             else:
-                self.lu = lu_factor(self.w * K_values + eye)
+                self.lu = lu_factor(self.w[:, None] * K_values + eye)
         except np.linalg.LinAlgError as exc:
             raise HessianNotPositiveDefinite(_NOT_PD) from exc
         if not (self.positive or np.all(np.diag(self.lu[0]))):
@@ -268,13 +242,17 @@ class CurvatureFactor:
 
     @cached_property
     def half(self) -> np.ndarray:
-        return np.linalg.inv(self.chol) * np.sqrt(self.w).T
+        return np.linalg.inv(self.chol) * self.sw
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """(K + W^-1)^-1 @ rhs for an (N, k) right-hand side."""
-        if self.positive:
-            return self.half.T @ (self.half @ rhs)
-        return lu_solve(self.lu, self.w * rhs)
+        """(K + W^-1)^-1 @ rhs for an (N,) or (N, k) right-hand side."""
+        if not self.positive:
+            return lu_solve(self.lu, (self.w if rhs.ndim == 1 else self.w[:, None]) * rhs)
+        if rhs.ndim == 1:
+            half = solve_triangular(self.chol, self.sw * rhs, lower=True, check_finite=False)
+            return self.sw * solve_triangular(self.chol, half, lower=True, trans="T",
+                                              check_finite=False)
+        return self.half.T @ (self.half @ rhs)
 
     def logdet(self) -> float:
         """log|I + K W| = log|K| + log|K^-1 + W|, the evidence's determinant piece."""

@@ -26,6 +26,7 @@ from gpdistill.experiments.artifacts import (
     predict_from_artifact,
     save_model,
 )
+from gpdistill.experiments.cli import main
 from gpdistill.experiments.datasets import gen_classification_toy, gen_regression_toy
 
 
@@ -158,3 +159,47 @@ class TestErrors:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ArtifactError):
             load_model(tmp_path / "nope.json")
+
+
+
+class TestPayloadValidation:
+    CORRUPTIONS = {
+        "gpr-missing-alpha": ("gpr", lambda p: {k: v for k, v in p.items() if k != "alpha_weights"}),
+        "gpr-missing-noise": ("gpr", lambda p: {k: v for k, v in p.items() if k != "noise"}),
+        "gpr-payload-list": ("gpr", lambda p: list(p.values())),
+        "gpr-nan-weight": ("gpr", lambda p: {**p, "alpha_weights": [np.nan] + p["alpha_weights"][1:]}),
+        "gpr-short-alpha": ("gpr", lambda p: {**p, "alpha_weights": p["alpha_weights"][:-1]}),
+        "gpr-inf-input": ("gpr", lambda p: {**p, "train_xs": [[np.inf]] + p["train_xs"][1:]}),
+        "gpr-text-weights": ("gpr", lambda p: {**p, "alpha_weights": "abc"}),
+        "gpc-missing-w": ("gpc", lambda p: {k: v for k, v in p.items() if k != "w_diag"}),
+        "gpc-short-w": ("gpc", lambda p: {**p, "w_diag": p["w_diag"][:-1]}),
+        "gpc-negative-w": ("gpc", lambda p: {**p, "w_diag": [-0.5] + p["w_diag"][1:]}),
+        "gpc-zero-scale": ("gpc", lambda p: {**p, "kernel_scale": 0.0}),
+        "gpc-negative-shift": ("gpc", lambda p: {**p, "diag_shift": -1.0}),
+    }
+
+    @staticmethod
+    def saved_doc(kind, tmp_path):
+        params = KernelParams(signal_variance=1.0, length_scale=1.0)
+        if kind == "gpr":
+            artifact = artifact_from_gpr(fit_gpr(gen_regression_toy(0), params, noise=0.5))
+        else:
+            data = gen_classification_toy(0, n=12)
+            fit = laplace_mode(data.ys, gram(data.xs, params, add_jitter=True))
+            artifact = artifact_from_laplace(fit, params, data.xs, method="gpc")
+        path = tmp_path / "model.json"
+        save_model(artifact, path)
+        return path, json.loads(path.read_text())
+
+    @pytest.mark.parametrize("name", sorted(CORRUPTIONS))
+    def test_corrupt_payload_rejected(self, name, tmp_path, capsys):
+        kind, corrupt = self.CORRUPTIONS[name]
+        path, doc = self.saved_doc(kind, tmp_path)
+        doc["payload"] = corrupt(doc["payload"])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ArtifactError, match="malformed"):
+            load_model(path)
+        code = main(["predict", "--model", str(path), "--points", "0,1,2",
+                     "--out", str(tmp_path / "pred.csv")])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err

@@ -159,6 +159,33 @@ class TestLaplaceMode:
             laplace_mode(ys, K, max_iters=1, step_tol=1e-16, grad_tol=1e-16)
         assert exc_info.value.grad_norm > 0
 
+    def test_duplicated_input_without_jitter(self):
+        # K is singular; the duplicated pair shares one latent, so the mode is
+        # the maximizer of the reduced two-latent log posterior
+        from scipy.optimize import minimize
+
+        params = KernelParams(signal_variance=1.0, length_scale=1.0, jitter=0.0)
+        y = np.array([1.0, 0.0, 1.0])
+        K = gram([0.0, 0.0, 2.0], params)
+        K2 = gram([0.0, 2.0], params).values
+        counts, hits = np.array([2.0, 1.0]), np.array([1.0, 1.0])
+
+        def neg_psi(g):
+            solved = np.linalg.solve(K2, g)
+            value = hits @ g - counts @ np.logaddexp(0.0, g) - 0.5 * g @ solved
+            return -value, -(hits - counts * expit(g) - solved)
+
+        def neg_hess(g):
+            s = expit(g)
+            return np.diag(counts * s * (1.0 - s)) + np.linalg.inv(K2)
+
+        res = minimize(neg_psi, np.zeros(2), jac=True, hess=neg_hess, method="trust-exact",
+                       options={"gtol": 1e-13})
+        fit = laplace_mode(y, K)
+        assert fit.converged
+        np.testing.assert_allclose(fit.f_hat, res.x[[0, 0, 1]], rtol=0, atol=1e-8)
+        assert np.max(np.abs(K.values @ fit.alpha_weights - fit.f_hat)) < 1e-12
+
     def test_alpha_certificate(self, rng):
         # K alpha = f_hat - m has to hold to solver precision
         xs, ys, params, K = separated_problem(rng)
@@ -251,6 +278,19 @@ class TestCurvatureFactor:
         sign, logdet = np.linalg.slogdet(eye + K.values @ W)
         assert sign > 0
         assert factor.logdet() == pytest.approx(logdet, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("zero_entry", [False, True])
+    def test_vector_solve_matches_dense(self, rng, zero_entry):
+        xs, ys, params, K = separated_problem(rng)
+        w = laplace_mode(ys, K).w_diag.copy()
+        if zero_entry:
+            w[3] = 0.0
+        factor = CurvatureFactor(K, w)
+        dense = np.linalg.solve(np.diag(w) @ K.values + np.eye(len(w)), np.diag(w))
+        rhs = rng.normal(size=len(w))
+        got = factor.solve(rhs)
+        assert got.shape == rhs.shape
+        np.testing.assert_allclose(got, dense @ rhs, atol=1e-12)
 
     @pytest.mark.parametrize("w", [np.array([1.0, 1.0]), np.array([1.0, 0.0])])
     def test_failed_factorization_raises(self, w):
