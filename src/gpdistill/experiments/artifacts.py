@@ -13,10 +13,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..gpc_distill import posterior_proba
 from ..gpr import GprModel, PosteriorGP
 from ..kernels import KernelParams, as_points, gram, kernel_matrix
-from ..laplace import CurvatureFactor, LaplaceFit
+from ..laplace import CurvatureFactor, LaplaceFit, posterior_proba
 
 FORMAT_VERSION = 1
 
@@ -186,7 +185,7 @@ def predict_from_artifact(artifact: ModelArtifact, test_xs) -> np.ndarray:
         scale = float(payload.get("kernel_scale", 1.0))
         scaled = replace(params, signal_variance=scale * params.signal_variance)
         # the Gram the stored fit ran on: scaled kernel, jitter and diag_shift
-        K = gram(train_xs, scaled, add_jitter=True).values
+        K = gram(train_xs, scaled, add_jitter=True)
         K[np.diag_indices_from(K)] += float(payload.get("diag_shift", 0.0))
         w = np.asarray(payload["w_diag"], dtype=float)
         gp = PosteriorGP(train_xs, scaled, alpha, CurvatureFactor(K, w).solve(np.eye(len(K))))

@@ -96,7 +96,7 @@ def bench_fit_scaling(
         if method.startswith("gpr"):
             fit_gpr(reg_data, params, noise=gamma)
         else:
-            K = gram(cls_data.xs, params, add_jitter=True).values
+            K = gram(cls_data.xs, params, add_jitter=True)
             laplace_mode(cls_data.ys, K)
 
     cells = []

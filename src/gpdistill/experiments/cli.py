@@ -111,7 +111,7 @@ def _cmd_fit(args) -> int:
         artifact = artifact_from_gpr(model)
     else:
         data = load_classification_csv(args.data)
-        K = gram(data.xs, params, add_jitter=True).values
+        K = gram(data.xs, params, add_jitter=True)
         likelihood = BERNOULLI if args.likelihood == "bernoulli" else CONTINUOUS_BERNOULLI
         fit = laplace_mode(data.ys, K, likelihood=likelihood)
         artifact = artifact_from_laplace(fit, params, data.xs, method="gpc")

@@ -8,6 +8,10 @@ posterior back in as the next prior; iterating that literally costs one full
 fit per step, but a single fit with the covariance scaled by the step count is
 an exact stand-in for replicated data and a close approximation of the whole
 iterated chain.
+Every step's latent posterior is a gpr.PosteriorGP, built by
+laplace.gpc_posterior for a single fit or by PosteriorGP.condition along the
+iterated chain, and laplace.posterior_proba (re-exported here) turns it into
+class probabilities.
 """
 
 from __future__ import annotations
@@ -27,10 +31,10 @@ from .laplace import (
     CurvatureFactor,
     LaplaceFit,
     NewtonDidNotConverge,
-    gpc_predict_latent,
+    gpc_posterior,
     laplace_marginal_loglik,
     laplace_mode,
-    sigmoid_gaussian_mean,
+    posterior_proba,
 )
 
 TARGET_KINDS = ("soft_mean", "latent_sigmoid", "hard_threshold")
@@ -50,7 +54,6 @@ class GpcDistillConfig:
     steps: int
     target_kind: str = "soft_mean"
     reg_gammas: tuple[float, ...] | None = None
-    scaled_approximation: bool = False
 
     def __post_init__(self):
         if self.steps < 1:
@@ -90,8 +93,7 @@ def _step_predictions(
         # sigma(f_hat) >= 0.5 and the quadrature mean >= 0.5 agree exactly on
         # the sign of f_hat, so thresholding needs no probability evaluation.
         return (fit.f_hat >= 0.0).astype(float)
-    mu, cov = gpc_predict_latent(fit, gram_values, xs, xs, params)
-    return sigmoid_gaussian_mean(mu, np.diag(cov))
+    return posterior_proba(gpc_posterior(fit, gram_values, xs, params), xs)
 
 
 def data_centric_gpc(
@@ -105,7 +107,7 @@ def data_centric_gpc(
     if not data.strictly_binary:
         raise ValueError("data-centric GPC distillation starts from strictly binary targets")
     xs = data.xs
-    base = gram(xs, params, add_jitter=True).values
+    base = gram(xs, params, add_jitter=True)
     targets = data.ys
     steps: list[DataCentricGpcStep] = []
     for t in range(1, config.steps + 1):
@@ -205,12 +207,11 @@ def distribution_centric_gpc_scaled(
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
     scaled = replace(params, signal_variance=t * params.signal_variance)
-    K_raw = gram(data.xs, scaled, add_jitter=False).values
+    K_raw = gram(data.xs, scaled, add_jitter=False)
     K_fit = K_raw + params.jitter * np.eye(data.n)
     fit = laplace_mode(data.ys, K_fit, likelihood=BERNOULLI)
     # conditioning the prior once gives c = alpha and M = (K + W^-1)^-1
-    inner = CurvatureFactor(K_raw, fit.w_diag).solve(np.eye(data.n))
-    posterior = PosteriorGP(data.xs, scaled, fit.alpha_weights, inner)
+    posterior = gpc_posterior(fit, K_raw, data.xs, scaled)
     return ScaledGpcFit(fit=fit, posterior=posterior, gram_values=K_fit, scale=t)
 
 
@@ -232,27 +233,16 @@ def fit_replicated_gpc(
         raise ValueError(
             f"replicated system has {replications * n} rows, exceeding the cap of {row_cap}"
         )
-    K_raw = gram(data.xs, params, add_jitter=False).values
+    K_raw = gram(data.xs, params, add_jitter=False)
     big_K = np.tile(K_raw, (replications, replications))
     big_K[np.diag_indices_from(big_K)] += params.jitter
     big_y = np.tile(data.ys, replications)
     return laplace_mode(big_y, big_K, likelihood=BERNOULLI)
 
 
-def posterior_proba(gp: PosteriorGP, xs, method: str = "quadrature") -> np.ndarray:
-    """Class-1 probabilities implied by a latent posterior GP at the given points."""
-    pts = as_points(xs)
-    mu = gp.mean(pts)
-    if method == "latent_mean":
-        return expit(mu)
-    if method == "quadrature":
-        return sigmoid_gaussian_mean(mu, gp.var(pts))
-    raise ValueError(f"unknown probability method {method!r}")
-
-
 def approximation_error(
-    iterated: list[GpcDistillStep] | list[PosteriorGP],
-    scaled: list[ScaledGpcFit] | list[PosteriorGP],
+    iterated: list[GpcDistillStep],
+    scaled: list[ScaledGpcFit],
     test_xs,
     method: str = "quadrature",
 ) -> np.ndarray:
@@ -262,9 +252,7 @@ def approximation_error(
     pts = as_points(test_xs)
     errors = []
     for it_step, sc_step in zip(iterated, scaled):
-        gp_it = it_step.posterior if isinstance(it_step, GpcDistillStep) else it_step
-        gp_sc = sc_step.posterior if isinstance(sc_step, ScaledGpcFit) else sc_step
-        p_it = posterior_proba(gp_it, pts, method=method)
-        p_sc = posterior_proba(gp_sc, pts, method=method)
+        p_it = posterior_proba(it_step.posterior, pts, method=method)
+        p_sc = posterior_proba(sc_step.posterior, pts, method=method)
         errors.append(float(np.mean((p_it - p_sc) ** 2)))
     return np.asarray(errors)

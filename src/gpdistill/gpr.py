@@ -125,7 +125,8 @@ class PosteriorGP:
     posterior of a chain that keeps conditioning on X has this form, so the
     record stays the same size however deep the chain is, and evaluating it
     costs the same at every step. Without weights and inner it is the prior
-    GP(m, k).
+    GP(m, k). cov(a) is symmetrized with its diagonal clamped at 0 to absorb
+    roundoff, and var(a) is that clamped diagonal.
     """
 
     train_xs: np.ndarray
@@ -154,10 +155,14 @@ class PosteriorGP:
         values = kernel_matrix(a, b, self.params) - k_ax @ self.inner @ k_bx.T
         if xs2 is None:
             values = 0.5 * (values + values.T)
+            np.fill_diagonal(values, np.maximum(np.diag(values), 0.0))
         return values
 
     def var(self, xs) -> np.ndarray:
-        return np.maximum(np.diag(self.cov(xs)), 0.0)
+        """diag(cov(xs)) without the M x M matrix: sigma_f^2 - rowsum((k(a, X) M) * k(a, X))."""
+        k_ax = kernel_matrix(as_points(xs), self.train_xs, self.params)
+        quad = np.einsum("ij,ij->i", k_ax @ self.inner, k_ax)
+        return np.maximum(self.params.signal_variance - quad, 0.0)
 
     def condition(self, alpha: np.ndarray, A: np.ndarray) -> PosteriorGP:
         """The posterior after one more step at X, taking this GP as the prior.

@@ -95,7 +95,7 @@ def data_centric_targets_naive(
     With mix_alpha set, step t refits to alpha*y + (1-alpha)*y_{t-1} instead of
     y_{t-1} alone.
     """
-    K = gram(data.xs, params, add_jitter=False).values
+    K = gram(data.xs, params, add_jitter=False)
     n = data.n
     y0 = data.ys
     targets = []
@@ -269,7 +269,7 @@ def fit_replicated(
         raise ValueError(
             f"replicated system has {replications * n} rows, exceeding the cap of {row_cap}"
         )
-    K = gram(data.xs, params, add_jitter=False).values
+    K = gram(data.xs, params, add_jitter=False)
     big_K = np.tile(K, (replications, replications))
     big_y = np.tile(data.ys, replications)
     shifted = big_K + noise * np.eye(replications * n)

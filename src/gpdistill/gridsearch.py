@@ -103,7 +103,7 @@ def _cell_nll(data, params: KernelParams, noise: float, objective: str) -> float
     if objective == "gpr_nll":
         return gpr_marginal_nll(data, params, noise)
     likelihood = BERNOULLI if objective == "gpc_bernoulli_nll" else CONTINUOUS_BERNOULLI
-    K = gram(data.xs, params, add_jitter=True).values
+    K = gram(data.xs, params, add_jitter=True)
     if noise > 0:
         K = K + noise * np.eye(len(K))
     fit = laplace_mode(data.ys, K, likelihood=likelihood)

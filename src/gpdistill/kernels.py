@@ -1,8 +1,9 @@
 """RBF kernel evaluation, Gram assembly, and symmetric spectral decomposition.
 
-Every fit in this library runs its linear algebra through the eigendecomposition
-of the training Gram matrix, so the decomposition type carries the shifted-solve
-and spectral-filter primitives the other modules build on.
+Regression fits run their linear algebra through the eigendecomposition of the
+noiseless training Gram matrix, so the decomposition type carries the
+shifted-solve and spectral-filter primitives the regression chains build on.
+Classification fits factor (K, w) instead (laplace.CurvatureFactor).
 """
 
 from __future__ import annotations
@@ -78,19 +79,7 @@ def kernel_matrix(xs1, xs2, params: KernelParams) -> np.ndarray:
     return params.signal_variance * np.exp(-sq / (2.0 * params.length_scale))
 
 
-@dataclass(frozen=True)
-class GramMatrix:
-    """Symmetric kernel matrix of a point set together with the parameters that built it."""
-
-    values: np.ndarray
-    params: KernelParams
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-
-def gram(xs, params: KernelParams, add_jitter: bool = False) -> GramMatrix:
+def gram(xs, params: KernelParams, add_jitter: bool = False) -> np.ndarray:
     """Assemble the N x N Gram matrix of a point set.
 
     The diagonal is set to exactly signal_variance (+ jitter when requested)
@@ -102,7 +91,7 @@ def gram(xs, params: KernelParams, add_jitter: bool = False) -> GramMatrix:
     values = kernel_matrix(pts, pts, params)
     diag = params.signal_variance + (params.jitter if add_jitter else 0.0)
     np.fill_diagonal(values, diag)
-    return GramMatrix(values=values, params=params)
+    return values
 
 
 @dataclass(frozen=True)
@@ -151,11 +140,10 @@ class SpectralDecomp:
 def spectral_decompose(K) -> SpectralDecomp:
     """Eigendecompose a symmetric PSD matrix, clamping roundoff-negative eigenvalues to zero.
 
-    Accepts a GramMatrix or a plain ndarray. Eigenvalues below
-    -EIG_CLAMP_REL * lambda_max signal a genuinely indefinite matrix (a bug
-    upstream, not roundoff) and raise IndefiniteKernelError.
+    Eigenvalues below -EIG_CLAMP_REL * lambda_max signal a genuinely indefinite
+    matrix (a bug upstream, not roundoff) and raise IndefiniteKernelError.
     """
-    values = K.values if isinstance(K, GramMatrix) else np.asarray(K, dtype=float)
+    values = np.asarray(K, dtype=float)
     if values.ndim != 2 or values.shape[0] != values.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {values.shape}")
     scale = np.max(np.abs(values))

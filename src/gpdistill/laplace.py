@@ -4,8 +4,10 @@ Every factorization goes through one CurvatureFactor of (K, w), which applies
 (K + W^-1)^-1 and gives log|I + K W|. Newton-Raphson mode finding (GPML
 Alg. 3.1) builds one per iteration and carries alpha with f = K alpha + m, so
 neither K^-1 nor W^-1 is ever formed and K need not be invertible. After the
-mode, the same factor serves the predictive covariance, the evidence's
-determinant and the posterior handed on to a further fit.
+mode, the same factor gives the evidence's determinant and the inner matrix of
+the fit's latent posterior: gpc_posterior turns a fit into a gpr.PosteriorGP,
+and posterior_proba is the one place a latent posterior becomes class
+probabilities, for plain fits and distillation chains alike.
 The same machinery serves the ordinary Bernoulli likelihood and the continuous
 Bernoulli variant used for distillation targets in [0, 1]; the latter only adds
 the closed-form normalizer terms to the log-likelihood, its gradient, and its
@@ -23,7 +25,8 @@ from scipy.linalg import lu_factor, lu_solve, solve_triangular
 from scipy.special import expit
 
 from .cont_bernoulli import cb_terms
-from .kernels import GramMatrix, KernelParams, as_points, kernel_matrix
+from .gpr import PosteriorGP
+from .kernels import KernelParams, as_points
 
 BERNOULLI = "bernoulli"
 CONTINUOUS_BERNOULLI = "continuous_bernoulli"
@@ -132,10 +135,10 @@ def laplace_mode(
 ) -> LaplaceFit:
     """Find the posterior mode by damped Newton-Raphson (GPML Alg. 3.1 with a prior mean).
 
-    `data` may be a BinaryDataset or a bare target vector; `K` a GramMatrix or
-    ndarray. The iteration carries alpha with f = K alpha + m, so K is never
-    inverted and need not be positive definite (a duplicated input without
-    jitter is fine). Each iteration builds one CurvatureFactor(K, w) and moves
+    `data` may be a BinaryDataset or a bare target vector; `K` is the prior
+    covariance at the inputs. The iteration carries alpha with f = K alpha + m,
+    so K is never inverted and need not be positive definite (a duplicated
+    input without jitter is fine). Each iteration builds one CurvatureFactor(K, w) and moves
     alpha toward b - (K + W^-1)^-1 K b with b = W (f - m) + grad log p.
     The log posterior is psi = log p(y|f) - alpha^T (f - m) / 2 and its gradient
     grad log p - alpha.
@@ -146,7 +149,7 @@ def laplace_mode(
     only guards against overshoot and numerical curvature loss.
     """
     y = np.asarray(data.ys if isinstance(data, BinaryDataset) else data, dtype=float).ravel()
-    K_values = K.values if isinstance(K, GramMatrix) else np.asarray(K, dtype=float)
+    K_values = np.asarray(K, dtype=float)
     m = np.zeros(len(y)) if prior_mean is None else np.asarray(prior_mean, dtype=float).ravel()
 
     alpha = np.zeros(len(y))
@@ -225,7 +228,7 @@ class CurvatureFactor:
     """
 
     def __init__(self, K, w: np.ndarray):
-        K_values = K.values if isinstance(K, GramMatrix) else np.asarray(K, dtype=float)
+        K_values = np.asarray(K, dtype=float)
         self.w = np.asarray(w, dtype=float)
         eye = np.eye(len(self.w))
         self.positive = bool(np.all(self.w > 0.0))
@@ -265,6 +268,20 @@ class CurvatureFactor:
         return float(np.sum(np.log(np.abs(diag))))
 
 
+def gpc_posterior(fit: LaplaceFit, K, train_xs, params: KernelParams) -> PosteriorGP:
+    """The latent posterior of a converged fit as a PosteriorGP (GPML eqs. 3.21, 3.24).
+
+    Its weights are alpha and its inner matrix is (K + W^-1)^-1, so
+    mean(a) = k(a, X) alpha and cov(a, b) = k(a, b) - k(a, X)(K + W^-1)^-1 k(X, b).
+    K is the matrix the curvature is paired with (usually the one the fit ran
+    on); params give the kernel between test and training points.
+    """
+    if not fit.converged:
+        raise ValueError("predictions require a converged fit")
+    inner = CurvatureFactor(K, fit.w_diag).solve(np.eye(len(fit.w_diag)))
+    return PosteriorGP(train_xs, params, fit.alpha_weights, inner)
+
+
 def gpc_predict_latent(
     fit: LaplaceFit,
     K,
@@ -272,22 +289,9 @@ def gpc_predict_latent(
     test_xs,
     params: KernelParams,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Approximate posterior of the latent function at test points.
-
-    mean = k(x*, x) alpha and cov = k(x*, x*) - k(x*, x)(K + W^-1)^-1 k(x, x*).
-    """
-    if not fit.converged:
-        raise ValueError("predictions require a converged fit")
-    pts = as_points(test_xs)
-    k_star = kernel_matrix(pts, train_xs, params)
-    mean_star = k_star @ fit.alpha_weights
-    k_ss = kernel_matrix(pts, pts, params)
-    np.fill_diagonal(k_ss, params.signal_variance)
-    cov = k_ss - k_star @ CurvatureFactor(K, fit.w_diag).solve(k_star.T)
-    cov = 0.5 * (cov + cov.T)
-    diag = np.diag(cov).copy()
-    np.fill_diagonal(cov, np.maximum(diag, 0.0))
-    return mean_star, cov
+    """Mean (M,) and covariance (M, M) of the fit's latent posterior at test points."""
+    gp = gpc_posterior(fit, K, train_xs, params)
+    return gp.mean(test_xs), gp.cov(test_xs)
 
 
 def sigmoid_gaussian_mean(mu, var) -> np.ndarray:
@@ -299,6 +303,22 @@ def sigmoid_gaussian_mean(mu, var) -> np.ndarray:
     return float(out[0]) if np.ndim(mu) == 0 else out
 
 
+def posterior_proba(gp: PosteriorGP, xs, method: str = "quadrature") -> np.ndarray:
+    """Class-1 probabilities implied by a latent posterior GP at the given points.
+
+    method="latent_mean" squashes the latent mean, sigma(mu*); "quadrature"
+    averages sigma over the latent Gaussian. The two differ away from 0.5 but
+    share the same decision boundary.
+    """
+    pts = as_points(xs)
+    mu = gp.mean(pts)
+    if method == "latent_mean":
+        return expit(mu)
+    if method == "quadrature":
+        return sigmoid_gaussian_mean(mu, gp.var(pts))
+    raise ValueError(f"unknown probability method {method!r}")
+
+
 def gpc_predict_proba(
     fit: LaplaceFit,
     K,
@@ -307,18 +327,8 @@ def gpc_predict_proba(
     params: KernelParams,
     method: str = "quadrature",
 ) -> np.ndarray:
-    """Predicted class-1 probabilities at test points.
-
-    method="latent_mean" squashes the latent mean, sigma(mu*); "quadrature"
-    averages sigma over the latent Gaussian. The two differ away from 0.5 but
-    share the same decision boundary.
-    """
-    mean_star, cov = gpc_predict_latent(fit, K, train_xs, test_xs, params)
-    if method == "latent_mean":
-        return expit(mean_star)
-    if method == "quadrature":
-        return sigmoid_gaussian_mean(mean_star, np.diag(cov))
-    raise ValueError(f"unknown probability method {method!r}")
+    """Predicted class-1 probabilities of a fit at test points (see posterior_proba)."""
+    return posterior_proba(gpc_posterior(fit, K, train_xs, params), test_xs, method)
 
 
 def laplace_marginal_loglik(fit: LaplaceFit, K, data) -> float:

@@ -93,7 +93,7 @@ def test_criterion_2_data_replication():
         rep = fit_replicated(data, params, noise=g, replications=t)
         model = fit_gpr(data, params, noise=g / t)
         mean, _ = predict_gpr(model, data.xs)
-        K = gram(data.xs, params).values
+        K = gram(data.xs, params)
         cov = K - K @ np.linalg.solve(K + (g / t) * np.eye(n), K)
         for i in range(t):
             assert rel_err(rep.mean_blocks[i], mean) < 1e-8
@@ -165,7 +165,7 @@ def test_criterion_6_gpc_scaling_exact():
         data = BinaryDataset(xs, ys)
         params = random_kernel(rng)
         for t in (1, 2, 3, 4):
-            scaled_K = t * gram(xs, params).values + params.jitter * np.eye(n)
+            scaled_K = t * gram(xs, params) + params.jitter * np.eye(n)
             f_scaled = laplace_mode(ys, scaled_K, step_tol=1e-12, grad_tol=1e-10)
             f_rep = fit_replicated_gpc(data, params, t)
             for block in f_rep.f_hat.reshape(t, -1):
@@ -196,14 +196,14 @@ def test_criterion_8_laplace_correctness():
         m = rng.normal(size=n) * 0.5
         ys = (rng.uniform(size=n) < 0.5).astype(float)
         fit = laplace_mode(ys, K, prior_mean=m)
-        resid = fit.f_hat - m - K.values @ (ys - expit(fit.f_hat))
+        resid = fit.f_hat - m - K @ (ys - expit(fit.f_hat))
         assert np.max(np.abs(resid)) < 1e-6
 
     # analytic vs central-difference gradients of the log posterior
     n = 7
     xs = np.linspace(0, 6, n)
     params = KernelParams(signal_variance=1.2, length_scale=0.9)
-    K = gram(xs, params, add_jitter=True).values
+    K = gram(xs, params, add_jitter=True)
     for likelihood in (BERNOULLI, CONTINUOUS_BERNOULLI):
         y = (rng.uniform(size=n) < 0.5).astype(float) if likelihood == BERNOULLI \
             else rng.uniform(0.1, 0.9, size=n)

@@ -96,7 +96,7 @@ class TestDataCentric:
         chain = data_centric_gpc(
             data, params, GpcDistillConfig(steps=2, reg_gammas=(0.0, 0.3))
         )
-        K = gram(data.xs, params, add_jitter=True).values
+        K = gram(data.xs, params, add_jitter=True)
         direct = laplace_mode(
             chain[0].predicted, K + 0.3 * np.eye(data.n), likelihood=CONTINUOUS_BERNOULLI
         )
@@ -128,7 +128,7 @@ class TestCbReduction:
         # to walk exactly the trajectory of the plain-likelihood fit
         data, params = binary_instance(rng)
         cont = np.clip(rng.uniform(0.1, 0.9, size=data.n), 0, 1)
-        K = gram(data.xs, params, add_jitter=True).values
+        K = gram(data.xs, params, add_jitter=True)
         fit = laplace_mode(cont, K, likelihood=BERNOULLI, record_path=True)
         f = np.zeros(data.n)
         for recorded in fit.f_path[1:]:
@@ -148,7 +148,7 @@ class TestCbReduction:
         f = fit.f_hat
         quad = float(fit.alpha_weights @ f)
         sw = np.sqrt(fit.w_diag)
-        B = np.eye(data.n) + sw[:, None] * K.values * sw[None, :]
+        B = np.eye(data.n) + sw[:, None] * K * sw[None, :]
         logdet = float(np.linalg.slogdet(B)[1])
         manual = float(cont @ f - np.sum(np.logaddexp(0.0, f))) - 0.5 * quad - 0.5 * logdet
         assert got == pytest.approx(manual, abs=1e-10)
@@ -262,6 +262,44 @@ class TestDistributionCentric:
         assert evaluation_cost(steps[9].posterior, test_xs) == first
 
 
+class TestPosteriorEvaluation:
+    def test_var_is_clamped_cov_diagonal(self, rng):
+        from gpdistill.experiments.datasets import gen_classification_toy
+        from gpdistill.gpr import Dataset, fit_gpr, posterior_gp
+
+        reg = Dataset(rng.uniform(-2, 2, size=(12, 1)), rng.normal(size=12))
+        reg_params = KernelParams(signal_variance=1.1, length_scale=0.8)
+        data, params = binary_instance(rng)
+        toy = gen_classification_toy(0, n=30)
+        toy_params = KernelParams(signal_variance=1.0, length_scale=1.0)
+        cases = (
+            (posterior_gp(fit_gpr(reg, reg_params, noise=0.3)), reg.xs),
+            (distribution_centric_gpc_iterated(data, params, 3)[2].posterior, data.xs),
+            (distribution_centric_gpc_scaled(toy, toy_params, 5).posterior, toy.xs),
+        )
+        for gp, train_xs in cases:
+            xs = np.concatenate([np.linspace(-3.0, 8.0, 50), train_xs.ravel()])
+            assert rel_err(gp.var(xs), np.diag(gp.cov(xs))) < 1e-12
+
+    def test_quadrature_memory_linear_in_points(self):
+        import tracemalloc
+
+        from gpdistill.experiments.datasets import gen_classification_toy
+
+        toy = gen_classification_toy(0, n=30)
+        params = KernelParams(signal_variance=1.0, length_scale=1.0)
+        gp = distribution_centric_gpc_scaled(toy, params, 5).posterior
+        xs = np.linspace(-2.0, 7.0, 4000)
+        tracemalloc.start()
+        try:
+            posterior_proba(gp, xs, method="quadrature")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one 4000 x 4000 covariance alone would take 128 MB
+        assert peak < 16 * 2**20
+
+
 class TestScaled:
     def test_single_scale_is_ordinary_fit(self, rng):
         data, params = binary_instance(rng)
@@ -294,7 +332,7 @@ class TestScaled:
 
     def test_effective_hessian_positive_definite_at_mode(self, rng):
         data, params = binary_instance(rng)
-        K = gram(data.xs, params, add_jitter=True).values
+        K = gram(data.xs, params, add_jitter=True)
         for likelihood, targets in (
             (BERNOULLI, data.ys),
             (CONTINUOUS_BERNOULLI, rng.uniform(0.1, 0.9, size=data.n)),
@@ -325,9 +363,7 @@ class TestApproximationError:
     def test_identical_posteriors_give_zero(self, rng):
         data, params = binary_instance(rng)
         it = distribution_centric_gpc_iterated(data, params, 2)
-        errs = approximation_error(
-            [s.posterior for s in it], [s.posterior for s in it], np.linspace(0, 7, 10)
-        )
+        errs = approximation_error(it, it, np.linspace(0, 7, 10))
         np.testing.assert_array_equal(errs, 0.0)
 
     def test_toy_series_grows_near_linearly(self):

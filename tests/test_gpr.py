@@ -9,7 +9,7 @@ from gpdistill.kernels import KernelParams, SingularSystemError, gram, kernel_ma
 def dense_posterior(data, params, noise, test_xs, prior_mean=None):
     """Textbook formula with explicit matrix inverse, as an independent oracle."""
     mean_fn = prior_mean or (lambda xs: np.zeros(len(xs)))
-    K = gram(data.xs, params).values
+    K = gram(data.xs, params)
     inv = np.linalg.inv(K + noise * np.eye(data.n))
     ks = kernel_matrix(test_xs, data.xs, params)
     kss = kernel_matrix(test_xs, test_xs, params)
@@ -38,7 +38,7 @@ class TestFitGpr:
         data = Dataset(rng.normal(size=(10, 1)), rng.normal(size=10))
         noise = 0.3
         model = fit_gpr(data, p, noise=noise)
-        K = gram(data.xs, p).values
+        K = gram(data.xs, p)
         recon = (K + noise * np.eye(10)) @ model.alpha_weights
         assert rel_err(recon, data.ys) < 1e-8
 
@@ -47,7 +47,7 @@ class TestFitGpr:
         p = KernelParams(signal_variance=1.0, length_scale=1.0)
         data = Dataset(np.linspace(0, 5, 8), rng.normal(size=8))
         g = 0.5
-        K = gram(data.xs, p).values
+        K = gram(data.xs, p)
         m1 = fit_gpr(data, p, noise=g)
         m2 = fit_gpr(data, p, noise=0.0, decomp=spectral_decompose(K + g * np.eye(8)))
         assert rel_err(m1.alpha_weights, m2.alpha_weights) < 1e-12
@@ -160,7 +160,7 @@ class TestPosteriorGp:
         # A = (K + gI)^-1 is the ordinary noisy fit
         p = KernelParams(signal_variance=1.3, length_scale=0.6)
         data = Dataset(rng.uniform(-2, 2, size=(6, 1)), rng.normal(size=6))
-        inv = np.linalg.inv(gram(data.xs, p).values + 0.4 * np.eye(6))
+        inv = np.linalg.inv(gram(data.xs, p) + 0.4 * np.eye(6))
         gp = PosteriorGP(data.xs, p).condition(inv @ data.ys, inv)
         test_xs = rng.uniform(-2, 2, size=(4, 1))
         mean_o, cov_o = dense_posterior(data, p, 0.4, test_xs)

@@ -137,7 +137,7 @@ class TestDataCentric:
         gammas = (0.4, 0.9, 0.2)
         sched = DistillSchedule(gammas=gammas, mix_alpha=alpha)
         got = data_centric_targets_naive(data, params, sched)
-        K = gram(data.xs, params).values
+        K = gram(data.xs, params)
         y_prev = data.ys
         for t, g in enumerate(gammas):
             train = alpha * data.ys + (1 - alpha) * y_prev
@@ -199,7 +199,7 @@ class TestDataCentricPredict:
 
     def test_train_cov_formula(self, rng):
         data, params = random_instance(rng, n=6)
-        K = gram(data.xs, params).values
+        K = gram(data.xs, params)
         decomp = spectral_decompose(K)
         g = 0.7
         expected = K - K @ np.linalg.solve(K + g * np.eye(6), K)
@@ -238,7 +238,7 @@ class TestDistributionCentric:
         # after t steps the Gram spectrum is lambda / (lambda * gamma_minus + 1)
         data, params = random_instance(rng, n=7)
         sched = DistillSchedule(gammas=(0.5, 1.5, 0.9))
-        lam0 = np.sort(np.linalg.eigvalsh(gram(data.xs, params).values))
+        lam0 = np.sort(np.linalg.eigvalsh(gram(data.xs, params)))
         steps = distribution_centric_recursive(data, params, sched, 3)
         for t, gp in enumerate(steps, start=1):
             gm = effective_noise(sched, t).gamma_minus
@@ -300,7 +300,7 @@ class TestReplication:
         data, params = random_instance(rng, n=4)
         g = 0.6
         rep = fit_replicated(data, params, noise=g, replications=2)
-        K = gram(data.xs, params).values
+        K = gram(data.xs, params)
         expected = K @ np.linalg.solve(K + g / 2 * np.eye(4), data.ys)
         for block in rep.mean_blocks:
             assert rel_err(block, expected) < 1e-8
@@ -309,7 +309,7 @@ class TestReplication:
         data, params = random_instance(rng, n=4)
         g, t = 0.8, 3
         rep = fit_replicated(data, params, noise=g, replications=t)
-        K = gram(data.xs, params).values
+        K = gram(data.xs, params)
         expected = K - K @ np.linalg.solve(K + g / t * np.eye(4), K)
         for i in range(t):
             for j in range(t):

@@ -71,18 +71,18 @@ class TestGram:
     def test_single_point(self):
         p = KernelParams(signal_variance=1.0, length_scale=1.0, jitter=0.0)
         K = gram([[0.3]], p)
-        np.testing.assert_array_equal(K.values, [[1.0]])
+        np.testing.assert_array_equal(K, [[1.0]])
 
     def test_duplicate_points_rank_one(self):
         p = KernelParams(signal_variance=1.0, length_scale=1.0, jitter=0.0)
         K = gram([[2.0], [2.0]], p)
-        np.testing.assert_array_equal(K.values, [[1.0, 1.0], [1.0, 1.0]])
-        assert np.linalg.matrix_rank(K.values) == 1
+        np.testing.assert_array_equal(K, [[1.0, 1.0], [1.0, 1.0]])
+        assert np.linalg.matrix_rank(K) == 1
 
     def test_elementwise_oracle(self, rng):
         p = KernelParams(signal_variance=1.4, length_scale=0.6)
         pts = rng.normal(size=(5, 2))
-        K = gram(pts, p).values
+        K = gram(pts, p)
         for i in range(5):
             for j in range(5):
                 expected = p.signal_variance if i == j else rbf_kernel(pts[i], pts[j], p)
@@ -91,8 +91,8 @@ class TestGram:
     def test_jitter_on_diagonal_only(self, rng):
         p = KernelParams(signal_variance=2.0, length_scale=1.0, jitter=1e-6)
         pts = rng.normal(size=(4, 1))
-        plain = gram(pts, p, add_jitter=False).values
-        jittered = gram(pts, p, add_jitter=True).values
+        plain = gram(pts, p, add_jitter=False)
+        jittered = gram(pts, p, add_jitter=True)
         np.testing.assert_allclose(np.diag(jittered), 2.0 + 1e-6, rtol=0)
         off = ~np.eye(4, dtype=bool)
         np.testing.assert_array_equal(plain[off], jittered[off])
@@ -109,7 +109,7 @@ class TestGram:
                 length_scale=float(rng.uniform(0.1, 5)),
             )
             pts = rng.normal(size=(rng.integers(2, 12), rng.integers(1, 4)))
-            K = gram(pts, p).values
+            K = gram(pts, p)
             np.testing.assert_array_equal(K, K.T)
 
 
@@ -156,7 +156,7 @@ class TestSpectralDecompose:
 
     def test_solve_shifted_matches_dense(self, rng):
         p = KernelParams(1.3, 1.1)
-        K = gram(rng.normal(size=(7, 1)), p).values
+        K = gram(rng.normal(size=(7, 1)), p)
         d = spectral_decompose(K)
         rhs = rng.normal(size=7)
         expected = np.linalg.solve(K + 0.25 * np.eye(7), rhs)
@@ -173,13 +173,13 @@ class TestSpectralInvariants:
             pts = rng.uniform(-3, 3, size=(rng.integers(2, 15), rng.integers(1, 3)))
             K = gram(pts, p)
             d = spectral_decompose(K)
-            err = np.linalg.norm(d.reconstruct() - K.values) / np.linalg.norm(K.values)
+            err = np.linalg.norm(d.reconstruct() - K) / np.linalg.norm(K)
             assert err < 1e-8
 
     def test_jitter_shifts_every_eigenvalue(self, rng):
         p = KernelParams(1.0, 1.0)
         pts = rng.normal(size=(9, 1))
-        K = gram(pts, p).values
+        K = gram(pts, p)
         g = 1e-3
         lam_plain = np.sort(np.linalg.eigvalsh(K))
         lam_shift = np.sort(np.linalg.eigvalsh(K + g * np.eye(9)))

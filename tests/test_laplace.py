@@ -90,7 +90,7 @@ class TestLaplaceMode:
         xs, ys, params, K = separated_problem(rng)
         m = rng.normal(size=len(ys))
         fit = laplace_mode(ys, K, prior_mean=m)
-        resid = fit.f_hat - m - K.values @ (ys - expit(fit.f_hat))
+        resid = fit.f_hat - m - K @ (ys - expit(fit.f_hat))
         assert np.max(np.abs(resid)) < 1e-6
 
     def test_gradient_norm_on_separated_inputs(self, rng):
@@ -106,7 +106,7 @@ class TestLaplaceMode:
         params = KernelParams(signal_variance=1.0, length_scale=0.5)
         K = gram(data.xs, params, add_jitter=True)
         fit = laplace_mode(data, K)
-        resid = fit.f_hat - K.values @ (data.ys - expit(fit.f_hat))
+        resid = fit.f_hat - K @ (data.ys - expit(fit.f_hat))
         # clustered inputs put kappa(K) ~ 1e7; the gradient readout floors near
         # kappa*eps, so assert the well-conditioned fixed-point form tightly
         assert np.max(np.abs(resid)) < 1e-6
@@ -127,14 +127,14 @@ class TestLaplaceMode:
             y = ys if likelihood == BERNOULLI else rng.uniform(0.1, 0.9, size=len(ys))
             for _ in range(10):
                 f = rng.normal(size=len(ys))
-                _, grad = psi_and_grad(f, y, K.values, m, likelihood)
+                _, grad = psi_and_grad(f, y, K, m, likelihood)
                 fd = np.empty_like(f)
                 h = 1e-6
                 for i in range(len(f)):
                     e = np.zeros_like(f)
                     e[i] = h
-                    up, _ = psi_and_grad(f + e, y, K.values, m, likelihood)
-                    dn, _ = psi_and_grad(f - e, y, K.values, m, likelihood)
+                    up, _ = psi_and_grad(f + e, y, K, m, likelihood)
+                    dn, _ = psi_and_grad(f - e, y, K, m, likelihood)
                     fd[i] = (up - dn) / (2 * h)
                 np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-7)
 
@@ -167,7 +167,7 @@ class TestLaplaceMode:
         params = KernelParams(signal_variance=1.0, length_scale=1.0, jitter=0.0)
         y = np.array([1.0, 0.0, 1.0])
         K = gram([0.0, 0.0, 2.0], params)
-        K2 = gram([0.0, 2.0], params).values
+        K2 = gram([0.0, 2.0], params)
         counts, hits = np.array([2.0, 1.0]), np.array([1.0, 1.0])
 
         def neg_psi(g):
@@ -184,14 +184,14 @@ class TestLaplaceMode:
         fit = laplace_mode(y, K)
         assert fit.converged
         np.testing.assert_allclose(fit.f_hat, res.x[[0, 0, 1]], rtol=0, atol=1e-8)
-        assert np.max(np.abs(K.values @ fit.alpha_weights - fit.f_hat)) < 1e-12
+        assert np.max(np.abs(K @ fit.alpha_weights - fit.f_hat)) < 1e-12
 
     def test_alpha_certificate(self, rng):
         # K alpha = f_hat - m has to hold to solver precision
         xs, ys, params, K = separated_problem(rng)
         m = rng.normal(size=len(ys)) * 0.5
         fit = laplace_mode(ys, K, prior_mean=m)
-        assert np.max(np.abs(K.values @ fit.alpha_weights - (fit.f_hat - m))) < 1e-10
+        assert np.max(np.abs(K @ fit.alpha_weights - (fit.f_hat - m))) < 1e-10
 
 
 class TestPredictLatent:
@@ -215,9 +215,9 @@ class TestPredictLatent:
         mu, cov = gpc_predict_latent(fit, K, xs, test_xs, params)
         ks = kernel_matrix(test_xs, xs, params)
         kss = kernel_matrix(test_xs, test_xs, params)
-        mu_o = ks @ np.linalg.solve(K.values, fit.f_hat)
+        mu_o = ks @ np.linalg.solve(K, fit.f_hat)
         cov_o = kss - ks @ np.linalg.solve(
-            K.values + np.diag(1.0 / fit.w_diag), ks.T
+            K + np.diag(1.0 / fit.w_diag), ks.T
         )
         assert rel_err(mu, mu_o) < 1e-6
         assert rel_err(cov, cov_o) < 1e-8
@@ -239,7 +239,7 @@ class TestPredictLatent:
         w_tiny[2] = 1e-13
         ks = kernel_matrix(test_xs, xs, params)
         kss = kernel_matrix(test_xs, test_xs, params)
-        cov_o = kss - ks @ np.linalg.solve(K.values + np.diag(1.0 / w_tiny), ks.T)
+        cov_o = kss - ks @ np.linalg.solve(K + np.diag(1.0 / w_tiny), ks.T)
         np.testing.assert_allclose(cov, cov_o, atol=1e-9)
 
     def test_variance_bounded_by_prior(self, rng):
@@ -271,11 +271,11 @@ class TestCurvatureFactor:
         factor = CurvatureFactor(K, w)
         assert factor.positive is not zero_entry
         W, eye = np.diag(w), np.eye(len(w))
-        dense = np.linalg.solve(W @ K.values + eye, W)
+        dense = np.linalg.solve(W @ K + eye, W)
         np.testing.assert_allclose(factor.solve(eye), dense, atol=1e-12)
         rhs = rng.normal(size=(len(w), 3))
         np.testing.assert_allclose(factor.solve(rhs), dense @ rhs, atol=1e-12)
-        sign, logdet = np.linalg.slogdet(eye + K.values @ W)
+        sign, logdet = np.linalg.slogdet(eye + K @ W)
         assert sign > 0
         assert factor.logdet() == pytest.approx(logdet, rel=1e-12, abs=1e-12)
 
@@ -286,7 +286,7 @@ class TestCurvatureFactor:
         if zero_entry:
             w[3] = 0.0
         factor = CurvatureFactor(K, w)
-        dense = np.linalg.solve(np.diag(w) @ K.values + np.eye(len(w)), np.diag(w))
+        dense = np.linalg.solve(np.diag(w) @ K + np.eye(len(w)), np.diag(w))
         rhs = rng.normal(size=len(w))
         got = factor.solve(rhs)
         assert got.shape == rhs.shape

@@ -29,7 +29,7 @@ def problems(draw):
         ys = rng.uniform(size=n)
     m = rng.normal(scale=2.0, size=n)
     params = KernelParams(signal_variance=sigma_f**2, length_scale=length_scale, jitter=jitter)
-    return gram(xs, params, add_jitter=True).values, ys, m, likelihood
+    return gram(xs, params, add_jitter=True), ys, m, likelihood
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
