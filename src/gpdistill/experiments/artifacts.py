@@ -188,7 +188,7 @@ def predict_from_artifact(artifact: ModelArtifact, test_xs) -> np.ndarray:
         K = gram(train_xs, scaled, add_jitter=True)
         K[np.diag_indices_from(K)] += float(payload.get("diag_shift", 0.0))
         w = np.asarray(payload["w_diag"], dtype=float)
-        gp = PosteriorGP(train_xs, scaled, alpha, CurvatureFactor(K, w).solve(np.eye(len(K))))
+        gp = PosteriorGP(train_xs, scaled, alpha, CurvatureFactor(K, w).half)
         return posterior_proba(gp, pts, "quadrature")
 
     raise ArtifactError(f"no predictor for method {artifact.method!r}")

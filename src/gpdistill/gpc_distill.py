@@ -9,9 +9,9 @@ fit per step, but a single fit with the covariance scaled by the step count is
 an exact stand-in for replicated data and a close approximation of the whole
 iterated chain.
 Every step's latent posterior is a gpr.PosteriorGP, built by
-laplace.gpc_posterior for a single fit or by PosteriorGP.condition along the
-iterated chain, and laplace.posterior_proba (re-exported here) turns it into
-class probabilities.
+laplace.gpc_posterior or PosteriorGP.condition from the square-root factor
+half of a laplace.CurvatureFactor, and laplace.posterior_proba (re-exported
+here) turns it into class probabilities.
 """
 
 from __future__ import annotations
@@ -66,8 +66,10 @@ class GpcDistillConfig:
                 raise ValueError(
                     f"reg_gammas has {len(self.reg_gammas)} entries for {self.steps} steps"
                 )
-            if any(g < 0 for g in self.reg_gammas):
-                raise ValueError("reg_gammas must be non-negative")
+            if not all(0 <= g < np.inf for g in self.reg_gammas):
+                raise ValueError(
+                    f"reg_gammas must be non-negative and finite, got {self.reg_gammas}"
+                )
 
 
 @dataclass(frozen=True)
@@ -178,8 +180,7 @@ def distribution_centric_gpc_iterated(
             ) from exc
         # the fit adds the jitter so that step 1 solves the mode problem of the
         # scaled fit at t=1; like that fit, the update conditions on bare K_t
-        current = current.condition(fit.alpha_weights,
-                                    CurvatureFactor(K_t, fit.w_diag).solve(eye))
+        current = current.condition(fit.alpha_weights, CurvatureFactor(K_t, fit.w_diag).half)
         out.append(GpcDistillStep(fit=fit, posterior=current))
     return out
 

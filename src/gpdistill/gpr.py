@@ -1,4 +1,8 @@
-"""Ordinary Gaussian process regression: prior, fit, and posterior predictive."""
+"""Ordinary Gaussian process regression: prior, fit, and posterior predictive.
+
+Every posterior, regression or classification, fit or chain, is a PosteriorGP:
+weights and a square-root factor R of the inner matrix M = R^T R.
+"""
 
 from __future__ import annotations
 
@@ -75,8 +79,8 @@ def fit_gpr(
     shifted system raises SingularSystemError. A precomputed decomposition of
     the (noiseless) Gram matrix may be passed in to skip refactorization.
     """
-    if noise < 0:
-        raise ValueError(f"noise must be non-negative, got {noise}")
+    if not 0 <= noise < np.inf:
+        raise ValueError(f"noise must be non-negative and finite, got {noise}")
     mean = prior_mean if prior_mean is not None else zero_mean
     if decomp is None:
         decomp = spectral_decompose(gram(data.xs, params, add_jitter=False))
@@ -93,27 +97,9 @@ def fit_gpr(
 
 
 def predict_gpr(model: GprModel, test_xs) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior predictive mean and covariance at test points.
-
-    Returns (mean (M,), cov (M, M)); the covariance is symmetrized and its
-    diagonal clamped at zero to absorb roundoff.
-    """
-    pts = as_points(test_xs)
-    if pts.shape[1] != model.train_xs.shape[1]:
-        raise ValueError(
-            f"test dimension {pts.shape[1]} does not match training dimension "
-            f"{model.train_xs.shape[1]}"
-        )
-    k_star = kernel_matrix(pts, model.train_xs, model.params)
-    mean = model.prior_mean(pts) + k_star @ model.alpha_weights
-
-    k_ss = kernel_matrix(pts, pts, model.params)
-    np.fill_diagonal(k_ss, model.params.signal_variance)
-    cov = k_ss - k_star @ model.decomp.solve_shifted(k_star.T, model.noise)
-    cov = 0.5 * (cov + cov.T)
-    diag = np.diag(cov).copy()
-    np.fill_diagonal(cov, np.maximum(diag, 0.0))
-    return mean, cov
+    """Posterior predictive mean (M,) and covariance (M, M) at test points (see PosteriorGP)."""
+    gp = posterior_gp(model)
+    return gp.mean(test_xs), gp.cov(test_xs)
 
 
 @dataclass(frozen=True)
@@ -121,27 +107,33 @@ class PosteriorGP:
     """A GP conditioned on observations at the fixed inputs X = train_xs.
 
     mean(a) = m(a) + k(a, X) c and cov(a, b) = k(a, b) - k(a, X) M k(X, b),
-    with c = weights (N,) and M = inner (N, N) (GPML eqs. 2.24, 3.24). Each
+    with c = weights (N,) and M = R^T R for the square-root factor R (r <= N, N)
+    (GPML eqs. 2.24, 3.24). With H = R k(X, a), cov(a, b) = k(a, b) - H_a^T H_b
+    and var(a) = sigma_f^2 minus the column sums of H_a^2, so M is never formed
+    and the subtracted term is positive semi-definite by construction. Each
     posterior of a chain that keeps conditioning on X has this form, so the
     record stays the same size however deep the chain is, and evaluating it
-    costs the same at every step. Without weights and inner it is the prior
-    GP(m, k). cov(a) is symmetrized with its diagonal clamped at 0 to absorb
-    roundoff, and var(a) is that clamped diagonal.
+    costs the same at every step. Without weights and factor it is the prior
+    GP(m, k). cov(a) and var(a) clamp the diagonal at 0 to absorb roundoff.
     """
 
     train_xs: np.ndarray
     params: KernelParams
     weights: np.ndarray | None = None
-    inner: np.ndarray | None = None
+    factor: np.ndarray | None = None
     prior_mean: MeanFn = zero_mean
 
     def __post_init__(self):
-        object.__setattr__(self, "train_xs", as_points(self.train_xs))
-        n = len(self.train_xs)
+        pts = as_points(self.train_xs)
+        object.__setattr__(self, "train_xs", pts)
         if self.weights is None:
-            object.__setattr__(self, "weights", np.zeros(n))
-        if self.inner is None:
-            object.__setattr__(self, "inner", np.zeros((n, n)))
+            object.__setattr__(self, "weights", np.zeros(len(pts)))
+        if self.factor is None:
+            object.__setattr__(self, "factor", np.zeros((0, len(pts))))
+
+    def _root(self, pts: np.ndarray) -> np.ndarray:
+        """H = R k(X, pts), shape (r, len(pts))."""
+        return self.factor @ kernel_matrix(self.train_xs, pts, self.params)
 
     def mean(self, xs) -> np.ndarray:
         pts = as_points(xs)
@@ -150,33 +142,39 @@ class PosteriorGP:
     def cov(self, xs1, xs2=None) -> np.ndarray:
         a = as_points(xs1)
         b = a if xs2 is None else as_points(xs2)
-        k_ax = kernel_matrix(a, self.train_xs, self.params)
-        k_bx = k_ax if xs2 is None else kernel_matrix(b, self.train_xs, self.params)
-        values = kernel_matrix(a, b, self.params) - k_ax @ self.inner @ k_bx.T
+        h_a = self._root(a)
+        h_b = h_a if xs2 is None else self._root(b)
+        values = kernel_matrix(a, b, self.params) - h_a.T @ h_b
         if xs2 is None:
-            values = 0.5 * (values + values.T)
             np.fill_diagonal(values, np.maximum(np.diag(values), 0.0))
         return values
 
     def var(self, xs) -> np.ndarray:
-        """diag(cov(xs)) without the M x M matrix: sigma_f^2 - rowsum((k(a, X) M) * k(a, X))."""
-        k_ax = kernel_matrix(as_points(xs), self.train_xs, self.params)
-        quad = np.einsum("ij,ij->i", k_ax @ self.inner, k_ax)
-        return np.maximum(self.params.signal_variance - quad, 0.0)
+        """diag(cov(xs)) without the M x M matrix."""
+        h = self._root(as_points(xs))
+        return np.maximum(self.params.signal_variance - np.einsum("ij,ij->j", h, h), 0.0)
 
-    def condition(self, alpha: np.ndarray, A: np.ndarray) -> PosteriorGP:
+    def condition(self, alpha: np.ndarray, factor: np.ndarray) -> PosteriorGP:
         """The posterior after one more step at X, taking this GP as the prior.
 
         The step's posterior has mean m_t(a) + k_t(a, X) alpha and covariance
-        k_t(a, b) - k_t(a, X) A k_t(X, b), where k_t(a, X) = k(a, X)(I - M K);
-        hence c + (I - M K) alpha and M + (I - M K) A (I - K M).
+        k_t(a, b) - k_t(a, X) A k_t(X, b) with A = factor^T factor, where
+        k_t(a, X) = k(a, X)(I - M K). Hence c + (I - M K) alpha, and
+        M + (I - M K) A (I - K M) = S^T S for S = [R; factor (I - K M)], which
+        the R of a QR decomposition of S replaces, so R stays at most N x N.
         """
         K = kernel_matrix(self.train_xs, self.train_xs, self.params)
-        B = np.eye(len(K)) - self.inner @ K
-        return replace(self, weights=self.weights + B @ alpha, inner=self.inner + B @ A @ B.T)
+        R = self.factor
+        weights = self.weights + alpha - R.T @ (R @ (K @ alpha))
+        stacked = np.vstack([R, factor - ((factor @ K) @ R.T) @ R])
+        return replace(self, weights=weights, factor=np.linalg.qr(stacked, mode="r"))
 
 
 def posterior_gp(model: GprModel) -> PosteriorGP:
-    """A fitted regression model as a PosteriorGP, e.g. to serve as a further prior."""
-    inner = model.decomp.solve_shifted(np.eye(len(model.train_xs)), model.noise)
-    return PosteriorGP(model.train_xs, model.params, model.alpha_weights, inner, model.prior_mean)
+    """A fitted regression model as a PosteriorGP, e.g. to serve as a further prior.
+
+    Its factor comes from the model's spectrum, R = diag(1/sqrt(lambda + noise)) O^T,
+    so R^T R = (K + noise*I)^-1 without a further factorization.
+    """
+    factor = model.decomp.root_inverse_shifted(model.noise)
+    return PosteriorGP(model.train_xs, model.params, model.alpha_weights, factor, model.prior_mean)

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .gpr import Dataset, PosteriorGP, fit_gpr, predict_gpr
 from .kernels import (
@@ -49,8 +48,8 @@ class DistillSchedule:
         object.__setattr__(self, "gammas", tuple(float(g) for g in self.gammas))
         if len(self.gammas) < 1:
             raise ValueError("schedule must contain at least one noise parameter")
-        if any(g <= 0 for g in self.gammas):
-            raise ValueError(f"all noise parameters must be positive, got {self.gammas}")
+        if not all(0 < g < np.inf for g in self.gammas):
+            raise ValueError(f"all noise parameters must be positive and finite, got {self.gammas}")
         if self.mix_alpha is not None and not 0.0 < self.mix_alpha < 1.0:
             raise ValueError(f"mix_alpha must lie strictly inside (0, 1), got {self.mix_alpha}")
 
@@ -193,9 +192,9 @@ def distribution_centric_recursive(
     """Literal posterior-becomes-prior recursion; returns the GP after each step.
 
     Step t conditions the step t-1 posterior on the original data with noise
-    gamma_{t-1}, through a Cholesky solve with its own covariance K_t at the
-    training inputs. Kept deliberately independent of the closed form below so
-    the two can cross-check each other.
+    gamma_{t-1}, through the Cholesky factor of its own K_t + gamma_{t-1} I at
+    the training inputs. Kept deliberately independent of the closed form below
+    so the two can cross-check each other.
     """
     if steps < 1 or steps > len(schedule):
         raise ValueError(f"steps must lie in [1, {len(schedule)}], got {steps}")
@@ -205,11 +204,13 @@ def distribution_centric_recursive(
     out = []
     for gamma in schedule.gammas[:steps]:
         try:
-            factor = cho_factor(current.cov(xs) + gamma * eye, lower=True)
+            chol = np.linalg.cholesky(current.cov(xs) + gamma * eye)
         except np.linalg.LinAlgError as exc:
             raise SingularSystemError(f"K_t + {gamma}*I is not positive definite") from exc
-        alpha = cho_solve(factor, data.ys - current.mean(xs))
-        current = current.condition(alpha, cho_solve(factor, eye))
+        # (K_t + gamma I)^-1 = L^-T L^-1, so L^-1 is the step's square-root factor
+        chol_inv = np.linalg.inv(chol)
+        alpha = chol_inv.T @ (chol_inv @ (data.ys - current.mean(xs)))
+        current = current.condition(alpha, chol_inv)
         out.append(current)
     return out
 

@@ -71,8 +71,8 @@ class GridSpec:
                 continue
             if len(axis) == 0:
                 raise ValueError(f"{name} must be non-empty")
-            if any(v <= 0 for v in axis):
-                raise ValueError(f"{name} must be positive, got {axis}")
+            if not all(0 < v < np.inf for v in axis):
+                raise ValueError(f"{name} must be positive and finite, got {axis}")
 
 
 @dataclass(frozen=True)
@@ -130,6 +130,8 @@ def grid_search(
         raise ValueError(f"{objective} requires a BinaryDataset")
     if objective == "gpr_nll" and not isinstance(data, Dataset):
         raise ValueError("gpr_nll requires a Dataset")
+    if not 0 <= fixed_noise < np.inf:
+        raise ValueError(f"fixed_noise must be non-negative and finite, got {fixed_noise}")
     noise_axis = grid.noise_values if grid.noise_values is not None else (fixed_noise,)
 
     cells: list[GridCell] = []

@@ -119,22 +119,25 @@ class SpectralDecomp:
             return self.eigenvectors @ (coeffs * proj)
         return self.eigenvectors @ (coeffs[:, None] * proj)
 
+    def _shifted(self, shift: float) -> np.ndarray:
+        """Eigenvalues of K + shift*I; raises SingularSystemError unless all are positive."""
+        shifted = self.eigenvalues + shift
+        if np.min(shifted) <= 0.0:
+            raise SingularSystemError(
+                f"K + {shift}*I is singular (smallest shifted eigenvalue {np.min(shifted):g})"
+            )
+        return shifted
+
     def solve_shifted(self, rhs: np.ndarray, shift: float) -> np.ndarray:
         """Solve (K + shift*I) x = rhs through the eigenbasis."""
-        shifted = self.eigenvalues + shift
-        if np.min(shifted) <= 0.0:
-            raise SingularSystemError(
-                f"K + {shift}*I is singular (smallest shifted eigenvalue {np.min(shifted):g})"
-            )
-        return self.apply_filter(1.0 / shifted, rhs)
+        return self.apply_filter(1.0 / self._shifted(shift), rhs)
 
     def logdet_shifted(self, shift: float) -> float:
-        shifted = self.eigenvalues + shift
-        if np.min(shifted) <= 0.0:
-            raise SingularSystemError(
-                f"K + {shift}*I is singular (smallest shifted eigenvalue {np.min(shifted):g})"
-            )
-        return float(np.sum(np.log(shifted)))
+        return float(np.sum(np.log(self._shifted(shift))))
+
+    def root_inverse_shifted(self, shift: float) -> np.ndarray:
+        """R = diag(1/sqrt(lambda + shift)) O^T, so that R^T R = (K + shift*I)^-1."""
+        return self.eigenvectors.T / np.sqrt(self._shifted(shift))[:, None]
 
 
 def spectral_decompose(K) -> SpectralDecomp:

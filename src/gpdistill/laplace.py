@@ -1,13 +1,15 @@
 """Binary GP classification through the Laplace approximation.
 
-Every factorization goes through one CurvatureFactor of (K, w), which applies
+Every factorization goes through one CurvatureFactor of (K, w): the Cholesky
+factor of B = I + W^(1/2) K W^(1/2), valid for every w >= 0, which applies
 (K + W^-1)^-1 and gives log|I + K W|. Newton-Raphson mode finding (GPML
 Alg. 3.1) builds one per iteration and carries alpha with f = K alpha + m, so
 neither K^-1 nor W^-1 is ever formed and K need not be invertible. After the
-mode, the same factor gives the evidence's determinant and the inner matrix of
-the fit's latent posterior: gpc_posterior turns a fit into a gpr.PosteriorGP,
-and posterior_proba is the one place a latent posterior becomes class
-probabilities, for plain fits and distillation chains alike.
+mode, the same factor gives the evidence's determinant and, as its square root
+half = L^-1 W^(1/2), the covariance factor of the fit's latent posterior:
+gpc_posterior turns a fit into a gpr.PosteriorGP, and posterior_proba is the
+one place a latent posterior becomes class probabilities, for plain fits and
+distillation chains alike.
 The same machinery serves the ordinary Bernoulli likelihood and the continuous
 Bernoulli variant used for distillation targets in [0, 1]; the latter only adds
 the closed-form normalizer terms to the log-likelihood, its gradient, and its
@@ -21,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
-from scipy.linalg import lu_factor, lu_solve, solve_triangular
+from scipy.linalg import solve_triangular
 from scipy.special import expit
 
 from .cont_bernoulli import cb_terms
@@ -217,69 +219,57 @@ def laplace_mode(
 class CurvatureFactor:
     """One factorization of (K, w) for the Newton step, the prediction and the evidence.
 
-    With every w > 0 it is the Cholesky factor L of B = I + W^(1/2) K W^(1/2),
-    and (K + W^-1)^-1 = W^(1/2) B^-1 W^(1/2). A vector is solved with two
-    triangular solves against L. A matrix is solved as two products with
-    H = L^-1 W^(1/2), formed on first use, so it runs on numpy's BLAS:
-    multi-column triangular solves through scipy's separately bundled BLAS made
-    the scaled fit at N=120 several times slower on two cores. Otherwise it is
-    the LU factor of W K + I, and (K + W^-1)^-1 = (W K + I)^-1 W. Neither K^-1
-    nor W^-1 is ever formed, so K need not be invertible.
+    It is the Cholesky factor L of B = I + W^(1/2) K W^(1/2), which is positive
+    definite for every w >= 0 when K is positive semi-definite (GPML Alg. 3.1);
+    a zero weight only leaves a unit row and column. Then
+    (K + W^-1)^-1 = W^(1/2) B^-1 W^(1/2) = half^T half with half = L^-1 W^(1/2),
+    the square-root factor a PosteriorGP stores, formed on first use with
+    numpy's inverse: multi-column triangular solves through scipy's separately
+    bundled BLAS contended with numpy's thread pool on two cores. A vector is
+    solved with two triangular solves against L. Neither K^-1 nor W^-1 is ever formed, so K
+    need not be invertible. A negative weight, or a B that is not positive
+    definite, raises HessianNotPositiveDefinite.
     """
 
     def __init__(self, K, w: np.ndarray):
         K_values = np.asarray(K, dtype=float)
-        self.w = np.asarray(w, dtype=float)
-        eye = np.eye(len(self.w))
-        self.positive = bool(np.all(self.w > 0.0))
+        w = np.asarray(w, dtype=float)
+        if not np.all(w >= 0.0):
+            raise HessianNotPositiveDefinite(f"{_NOT_PD}: curvature weights must be >= 0")
+        self.sw = np.sqrt(w)
         try:
-            if self.positive:
-                self.sw = np.sqrt(self.w)
-                self.chol = np.linalg.cholesky(eye + self.sw[:, None] * K_values * self.sw)
-            else:
-                self.lu = lu_factor(self.w[:, None] * K_values + eye)
+            self.chol = np.linalg.cholesky(np.eye(len(w)) + self.sw[:, None] * K_values * self.sw)
         except np.linalg.LinAlgError as exc:
             raise HessianNotPositiveDefinite(_NOT_PD) from exc
-        if not (self.positive or np.all(np.diag(self.lu[0]))):
-            raise HessianNotPositiveDefinite(f"{_NOT_PD}: W K + I is singular")
 
     @cached_property
     def half(self) -> np.ndarray:
+        """L^-1 W^(1/2), an (N, N) factor with half^T half = (K + W^-1)^-1."""
         return np.linalg.inv(self.chol) * self.sw
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """(K + W^-1)^-1 @ rhs for an (N,) or (N, k) right-hand side."""
-        if not self.positive:
-            return lu_solve(self.lu, (self.w if rhs.ndim == 1 else self.w[:, None]) * rhs)
-        if rhs.ndim == 1:
-            half = solve_triangular(self.chol, self.sw * rhs, lower=True, check_finite=False)
-            return self.sw * solve_triangular(self.chol, half, lower=True, trans="T",
-                                              check_finite=False)
-        return self.half.T @ (self.half @ rhs)
+        """(K + W^-1)^-1 @ rhs for an (N,) right-hand side."""
+        half = solve_triangular(self.chol, self.sw * rhs, lower=True, check_finite=False)
+        return self.sw * solve_triangular(self.chol, half, lower=True, trans="T",
+                                          check_finite=False)
 
     def logdet(self) -> float:
-        """log|I + K W| = log|K| + log|K^-1 + W|, the evidence's determinant piece."""
-        if self.positive:
-            return 2.0 * float(np.sum(np.log(np.diag(self.chol))))
-        diag = np.diag(self.lu[0])
-        swaps = int(np.sum(self.lu[1] != np.arange(len(diag))))
-        if (-1) ** swaps * np.prod(np.sign(diag)) <= 0:
-            raise HessianNotPositiveDefinite(_NOT_PD)
-        return float(np.sum(np.log(np.abs(diag))))
+        """log|I + K W| = log|B|, the evidence's determinant piece."""
+        return 2.0 * float(np.sum(np.log(np.diag(self.chol))))
 
 
 def gpc_posterior(fit: LaplaceFit, K, train_xs, params: KernelParams) -> PosteriorGP:
     """The latent posterior of a converged fit as a PosteriorGP (GPML eqs. 3.21, 3.24).
 
-    Its weights are alpha and its inner matrix is (K + W^-1)^-1, so
-    mean(a) = k(a, X) alpha and cov(a, b) = k(a, b) - k(a, X)(K + W^-1)^-1 k(X, b).
+    Its weights are alpha and its factor is the curvature factor's half, whose
+    R^T R is (K + W^-1)^-1, so mean(a) = k(a, X) alpha and
+    cov(a, b) = k(a, b) - k(a, X)(K + W^-1)^-1 k(X, b).
     K is the matrix the curvature is paired with (usually the one the fit ran
     on); params give the kernel between test and training points.
     """
     if not fit.converged:
         raise ValueError("predictions require a converged fit")
-    inner = CurvatureFactor(K, fit.w_diag).solve(np.eye(len(fit.w_diag)))
-    return PosteriorGP(train_xs, params, fit.alpha_weights, inner)
+    return PosteriorGP(train_xs, params, fit.alpha_weights, CurvatureFactor(K, fit.w_diag).half)
 
 
 def gpc_predict_latent(

@@ -151,6 +151,31 @@ class TestExitCodes:
         assert "exceeds" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "kind, argv",
+        [
+            ("regression", ("distill", "--method", "gpr-dist", "--gammas", "nan")),
+            ("regression", ("fit", "--method", "gpr", "--noise", "nan")),
+            ("classification", ("distill", "--method", "gpc-data", "--steps", "2",
+                                "--reg-gammas", "0,nan")),
+            ("regression", ("grid-search", "--objective", "gpr", "--noise-grid", "0.5,nan")),
+            ("regression", ("grid-search", "--objective", "gpr", "--noise", "nan")),
+        ],
+        ids=["gpr-dist-gammas", "fit-noise", "gpc-data-reg-gammas", "grid-noise-axis",
+             "grid-fixed-noise"],
+    )
+    def test_non_finite_hyperparameter_is_one_and_writes_nothing(self, tmp_path, capsys,
+                                                                 kind, argv):
+        data = tmp_path / "data.csv"
+        run("gen-data", "--kind", kind, "--n", "20", "--seed", "0", "--out", data)
+        capsys.readouterr()
+        out = tmp_path / "out"
+        target = ("--out", out) if argv[0] == "grid-search" else (
+            "--sigma-f", "1", "--length-scale", "1", "--save", out)
+        assert run(*argv, "--data", data, *target) == 1
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestReproduceDeterminism:
     def test_same_seed_identical_bytes(self, tmp_path):

@@ -161,7 +161,7 @@ class TestPosteriorGp:
         p = KernelParams(signal_variance=1.3, length_scale=0.6)
         data = Dataset(rng.uniform(-2, 2, size=(6, 1)), rng.normal(size=6))
         inv = np.linalg.inv(gram(data.xs, p) + 0.4 * np.eye(6))
-        gp = PosteriorGP(data.xs, p).condition(inv @ data.ys, inv)
+        gp = PosteriorGP(data.xs, p).condition(inv @ data.ys, np.linalg.cholesky(inv).T)
         test_xs = rng.uniform(-2, 2, size=(4, 1))
         mean_o, cov_o = dense_posterior(data, p, 0.4, test_xs)
         assert rel_err(gp.mean(test_xs), mean_o) < 1e-10

@@ -234,6 +234,20 @@ class TestDistributionCentric:
         assert rel_err(gp.mean(test_xs), mean_cf) < 1e-10
         assert rel_err(gp.cov(test_xs), cov_cf) < 1e-10
 
+    def test_small_gamma_chain_matches_closed_form(self):
+        # ten steps of gamma = 1e-3 pool to noise 1e-4; the recursion's covariance
+        # must not accumulate cancellation on the way
+        rng = np.random.default_rng(7)
+        xs = rng.uniform(-3, 3, (30, 1))
+        ys = rng.normal(size=30)
+        test_xs = rng.uniform(-3, 3, (10, 1))
+        data, params = Dataset(xs, ys), KernelParams(signal_variance=1.0, length_scale=1.0)
+        sched = DistillSchedule(gammas=(1e-3,) * 10)
+        gp = distribution_centric_recursive(data, params, sched, 10)[-1]
+        mean_cf, cov_cf = distribution_centric_closed_form(data, params, sched, 10, test_xs)
+        assert rel_err(gp.mean(test_xs), mean_cf) < 1e-9
+        assert rel_err(gp.cov(test_xs), cov_cf) < 1e-9
+
     def test_gram_eigenvalues_follow_pooled_shrinkage(self, rng):
         # after t steps the Gram spectrum is lambda / (lambda * gamma_minus + 1)
         data, params = random_instance(rng, n=7)

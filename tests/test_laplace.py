@@ -269,12 +269,11 @@ class TestCurvatureFactor:
         if zero_entry:
             w[3] = 0.0
         factor = CurvatureFactor(K, w)
-        assert factor.positive is not zero_entry
         W, eye = np.diag(w), np.eye(len(w))
         dense = np.linalg.solve(W @ K + eye, W)
-        np.testing.assert_allclose(factor.solve(eye), dense, atol=1e-12)
+        np.testing.assert_allclose(factor.half.T @ factor.half, dense, atol=1e-12)
         rhs = rng.normal(size=(len(w), 3))
-        np.testing.assert_allclose(factor.solve(rhs), dense @ rhs, atol=1e-12)
+        np.testing.assert_allclose(factor.half.T @ (factor.half @ rhs), dense @ rhs, atol=1e-12)
         sign, logdet = np.linalg.slogdet(eye + K @ W)
         assert sign > 0
         assert factor.logdet() == pytest.approx(logdet, rel=1e-12, abs=1e-12)
@@ -291,6 +290,13 @@ class TestCurvatureFactor:
         got = factor.solve(rhs)
         assert got.shape == rhs.shape
         np.testing.assert_allclose(got, dense @ rhs, atol=1e-12)
+
+    def test_negative_weight_raises_at_construction(self, rng):
+        xs, ys, params, K = separated_problem(rng)
+        w = laplace_mode(ys, K).w_diag.copy()
+        w[2] = -1e-3
+        with pytest.raises(HessianNotPositiveDefinite):
+            CurvatureFactor(K, w)
 
     @pytest.mark.parametrize("w", [np.array([1.0, 1.0]), np.array([1.0, 0.0])])
     def test_failed_factorization_raises(self, w):
