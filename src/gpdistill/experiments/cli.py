@@ -196,11 +196,17 @@ def _cmd_grid_search(args) -> int:
     )
     objective = {"gpr": "gpr_nll", "gpc-bernoulli": "gpc_bernoulli_nll",
                  "gpc-cb": "gpc_cb_nll"}[args.objective]
+    noise = args.noise
+    if noise is None:
+        # zero noise leaves K + 0*I singular in every cell on typical regression data
+        if objective == "gpr_nll" and spec.noise_values is None:
+            raise UsageError("--objective gpr needs --noise or --noise-grid")
+        noise = 0.0
     if objective == "gpr_nll":
         data = load_regression_csv(args.data)
     else:
         data = load_classification_csv(args.data)
-    result = grid_search(data, spec, objective=objective, fixed_noise=args.noise)
+    result = grid_search(data, spec, objective=objective, fixed_noise=noise)
     write_grid_csv(args.out, result)
     best_sf = float(np.sqrt(result.best_params.signal_variance))
     print(
@@ -297,7 +303,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length-scale-grid", default=None,
                    help="defaults to 16 log-spaced values over [1e-2, 1e2]")
     p.add_argument("--noise-grid", default=None)
-    p.add_argument("--noise", type=float, default=0.0, help="fixed noise when no noise grid")
+    p.add_argument("--noise", type=float, default=None,
+                   help="fixed noise when no noise grid; the gpr objective needs one of the "
+                        "two, the gpc objectives default to 0")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_grid_search)
 

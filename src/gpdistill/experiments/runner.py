@@ -64,6 +64,16 @@ class ExperimentConfig:
 
     def __post_init__(self):
         self.out_dir = Path(self.out_dir)
+        for name in ("sigma_f", "length_scale"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if self.noise is not None and not 0 <= self.noise < np.inf:
+            raise ValueError(f"noise must be non-negative and finite, got {self.noise}")
+        if self.steps < 1:
+            raise ValueError(f"steps must be at least 1, got {self.steps}")
+        if self.n_train is not None and self.n_train < 1:
+            raise ValueError(f"n_train must be at least 1, got {self.n_train}")
 
 
 def write_csv(path, header: list[str], rows) -> None:
@@ -83,6 +93,12 @@ def write_grid_csv(path, result) -> None:
         ["sigma_f", "length_scale", "noise", "nll"],
         [(c.sigma_f, c.length_scale, c.noise, c.nll) for c in result.cells],
     )
+
+
+def _output_dir(config: ExperimentConfig) -> Path:
+    """Create the output directory once the results exist, so a failed run leaves none."""
+    config.out_dir.mkdir(parents=True, exist_ok=True)
+    return config.out_dir
 
 
 def _write_manifest(out_dir: Path, manifest: dict) -> Path:
@@ -218,7 +234,7 @@ def _run_gpr_ten_step(config: ExperimentConfig, method: str) -> dict:
     test_xs = np.linspace(0.0, 10.0, 200)
 
     rows = _gpr_distill_rows(data, params, schedule, method, test_xs)
-    pred_path = config.out_dir / "predictions.csv"
+    pred_path = _output_dir(config) / "predictions.csv"
     write_csv(pred_path, ["step", "x", "mean", "p2.5", "p97.5"], rows)
 
     files = {"predictions": pred_path.name}
@@ -269,7 +285,7 @@ def _run_gpr_schedule_ablations(config: ExperimentConfig, method: str) -> dict:
         schedule = DistillSchedule(gammas=gammas)
         for row in _gpr_distill_rows(data, params, schedule, method, test_xs):
             rows.append((label,) + row)
-    pred_path = config.out_dir / "predictions.csv"
+    pred_path = _output_dir(config) / "predictions.csv"
     write_csv(pred_path, ["schedule", "step", "x", "mean", "p2.5", "p97.5"], rows)
     manifest = {
         "experiment": config.experiment,
@@ -329,7 +345,7 @@ def _run_gpc_data_cb(config: ExperimentConfig) -> dict:
     for label, (fit, K) in variants.items():
         probs = gpc_predict_proba(fit, K, data.xs, test_xs, params, method=proba_method)
         rows.extend((label, x, p) for x, p in zip(test_xs, probs))
-    pred_path = config.out_dir / "predictions.csv"
+    pred_path = _output_dir(config) / "predictions.csv"
     write_csv(pred_path, ["variant", "x", "probability"], rows)
 
     manifest = {
@@ -367,10 +383,10 @@ def _run_gpc_dist_ten_step(config: ExperimentConfig) -> dict:
         p_it = posterior_proba(it_step.posterior, test_xs, method=proba_method)
         p_sc = posterior_proba(sc_step.posterior, test_xs, method=proba_method)
         rows.extend((t, x, pi, ps) for x, pi, ps in zip(test_xs, p_it, p_sc))
-    pred_path = config.out_dir / "predictions.csv"
-    write_csv(pred_path, ["step", "x", "probability_iterated", "probability_scaled"], rows)
-
     errors = approximation_error(iterated, scaled, test_xs, method=proba_method)
+
+    pred_path = _output_dir(config) / "predictions.csv"
+    write_csv(pred_path, ["step", "x", "probability_iterated", "probability_scaled"], rows)
     err_path = config.out_dir / "approximation_error.csv"
     write_csv(err_path, ["step", "mse"], list(enumerate(errors, start=1)))
 
@@ -404,16 +420,12 @@ def _run_grid_search(config: ExperimentConfig) -> dict:
     axis_sf = tuple(np.logspace(-0.5, 1.0, 12))
     axis_l = tuple(np.logspace(-1.0, 1.0, 12))
     spec = GridSpec(sigma_f_values=axis_sf, length_scale_values=axis_l)
-    files = {}
+    files = {"gpc_bernoulli_nll": "grid_bernoulli.csv", "gpc_cb_nll": "grid_cb.csv"}
+    results = {objective: grid_search(data, spec, objective=objective) for objective in files}
+    out_dir = _output_dir(config)
     minima = {}
-    for objective, fname in (
-        ("gpc_bernoulli_nll", "grid_bernoulli.csv"),
-        ("gpc_cb_nll", "grid_cb.csv"),
-    ):
-        result = grid_search(data, spec, objective=objective)
-        path = config.out_dir / fname
-        write_grid_csv(path, result)
-        files[objective] = fname
+    for objective, result in results.items():
+        write_grid_csv(out_dir / files[objective], result)
         minima[objective] = {
             "sigma_f": float(np.sqrt(result.best_params.signal_variance)),
             "length_scale": result.best_params.length_scale,
@@ -450,5 +462,4 @@ def run_experiment(config: ExperimentConfig) -> dict:
             f"unknown experiment {config.experiment!r}; "
             f"known: {', '.join(sorted(EXPERIMENTS))}"
         )
-    config.out_dir.mkdir(parents=True, exist_ok=True)
     return EXPERIMENTS[config.experiment](config)

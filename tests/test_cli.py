@@ -126,17 +126,41 @@ class TestExitCodes:
         assert "numerical failure" in capsys.readouterr().err
 
     def test_grid_search_with_every_cell_singular_is_two(self, tmp_path, capsys):
-        # 300 close inputs and the default zero noise: K + 0*I is singular in every cell
+        # 300 close inputs and zero noise: K + 0*I is singular in every cell
         reg = tmp_path / "reg.csv"
         run("gen-data", "--kind", "regression", "--n", "300", "--seed", "0", "--out", reg)
         capsys.readouterr()
-        code = run("grid-search", "--data", reg, "--objective", "gpr",
+        code = run("grid-search", "--data", reg, "--objective", "gpr", "--noise", "0",
                    "--sigma-f-grid", "0.5,2", "--length-scale-grid", "1,10",
                    "--out", tmp_path / "grid.csv")
         assert code == 2
         err = capsys.readouterr().err
         assert "every grid cell" in err
         assert "singular" in err
+
+    def test_grid_search_gpr_without_noise_is_one(self, tmp_path, capsys):
+        reg = tmp_path / "reg.csv"
+        run("gen-data", "--kind", "regression", "--n", "20", "--seed", "0", "--out", reg)
+        capsys.readouterr()
+        out = tmp_path / "grid.csv"
+        assert run("grid-search", "--data", reg, "--objective", "gpr", "--out", out) == 1
+        err = capsys.readouterr().err
+        assert "--noise" in err and "--noise-grid" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("gpr-dist-10step", "--noise", "nan"),
+        ("gpr-data-10step", "--sigma-f", "1", "--length-scale", "1", "--noise", "nan"),
+        ("gpr-data-10step", "--n-train", "0"),
+        ("gpc-dist-10step", "--steps", "0"),
+        ("gpr-dist-10step", "--data", "missing.csv"),
+    ], ids=["grid-noise", "fixed-noise", "n-train", "steps", "missing-data"])
+    def test_reproduce_failure_leaves_no_out_dir(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        argv = tuple(str(tmp_path / a) if a.endswith(".csv") else a for a in argv)
+        assert run("reproduce", *argv, "--out-dir", out) == 1
+        assert "error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_experiment_is_usage_error(self, tmp_path):
         assert run("reproduce", "nope", "--out-dir", tmp_path) == 1

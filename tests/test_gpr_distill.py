@@ -205,6 +205,42 @@ class TestDataCentricPredict:
         expected = K - K @ np.linalg.solve(K + g * np.eye(6), K)
         np.testing.assert_allclose(data_centric_train_cov(decomp, g), expected, atol=1e-10)
 
+    def test_one_decomposition_at_any_depth(self, rng, monkeypatch):
+        # counted, not timed: the fast path's cost does not grow with the step
+        import gpdistill.gpr as gpr_module
+        import gpdistill.gpr_distill as distill_module
+
+        data, params = random_instance(rng, n=9, d=2)
+        sched = DistillSchedule(gammas=tuple(rng.uniform(0.1, 2.0, size=10)))
+        test_xs = rng.uniform(-3, 3, size=(6, 2))
+        real_decompose = distill_module.spectral_decompose
+        real_kernel = gpr_module.kernel_matrix
+
+        def cost(step: int) -> dict:
+            counts = {"decompositions": 0, "kernel_calls": 0, "kernel_entries": 0}
+
+            def decompose(K):
+                counts["decompositions"] += 1
+                return real_decompose(K)
+
+            def kernel(a, b, p):
+                out = real_kernel(a, b, p)
+                counts["kernel_calls"] += 1
+                counts["kernel_entries"] += out.size
+                return out
+
+            with monkeypatch.context() as patch:
+                patch.setattr(distill_module, "spectral_decompose", decompose)
+                patch.setattr(gpr_module, "spectral_decompose", decompose)
+                patch.setattr(gpr_module, "kernel_matrix", kernel)
+                data_centric_predict(data, params, sched, test_xs, step=step)
+            return counts
+
+        first = cost(1)
+        assert first["decompositions"] == 1
+        assert first["kernel_calls"] > 0
+        assert cost(10) == first
+
     def test_step_bounds(self, rng):
         data, params = random_instance(rng)
         sched = DistillSchedule(gammas=(0.5,))

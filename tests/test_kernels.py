@@ -193,3 +193,43 @@ class TestSpectralInvariants:
         for i in range(3):
             for j in range(4):
                 assert M[i, j] == pytest.approx(rbf_kernel(a[i], b[j], p), rel=1e-14)
+
+
+def broadcast_kernel(a, b, params: KernelParams) -> np.ndarray:
+    """The library's former (M, N, d) broadcast assembly, kept verbatim as an oracle."""
+    sq = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1)
+    return params.signal_variance * np.exp(-sq / (2.0 * params.length_scale))
+
+
+PARAM_GRID = [
+    KernelParams(signal_variance=sv, length_scale=ell)
+    for sv in (1e-4, 1.0, 1e4)
+    for ell in (1e-2, 2.0, 100.0)
+]
+
+
+class TestCdistAssembly:
+    @pytest.mark.parametrize("d", [1, 2, 3, 7])
+    def test_bit_identical_to_broadcast_formula(self, rng, d):
+        a = rng.normal(scale=3.0, size=(23, d))
+        b = rng.normal(scale=3.0, size=(17, d))
+        for p in PARAM_GRID:
+            np.testing.assert_array_equal(kernel_matrix(a, b, p), broadcast_kernel(a, b, p))
+            np.testing.assert_array_equal(kernel_matrix(a, a, p), broadcast_kernel(a, a, p))
+
+    @pytest.mark.parametrize("d", [8, 12])
+    def test_pairwise_summation_dims_agree_to_1e_12(self, rng, d):
+        # numpy sums d >= 8 terms pairwise, so the squared distance may move by one ulp;
+        # unit-cube inputs keep every entry a normal float even at ell = 1e-2
+        a = rng.uniform(size=(23, d))
+        b = rng.uniform(size=(17, d))
+        for p in PARAM_GRID:
+            np.testing.assert_allclose(kernel_matrix(a, b, p), broadcast_kernel(a, b, p),
+                                       rtol=1e-12, atol=0)
+
+    def test_gram_is_exactly_symmetric(self, rng):
+        for d in (1, 3, 8):
+            pts = rng.normal(size=(30, d))
+            for p in PARAM_GRID:
+                K = gram(pts, p)
+                assert np.array_equal(K, K.T)
