@@ -8,6 +8,7 @@ on standard error).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -70,6 +71,9 @@ def parse_values(text: str) -> tuple[float, ...]:
 
 
 def _kernel_params(args) -> KernelParams:
+    # KernelParams sees only the square, which hides the sign
+    if not 0 < args.sigma_f < np.inf:
+        raise ValueError(f"--sigma-f must be positive and finite, got {args.sigma_f}")
     return KernelParams(
         signal_variance=args.sigma_f**2,
         length_scale=args.length_scale,
@@ -126,9 +130,8 @@ def _cmd_predict(args) -> int:
     preds = predict_from_artifact(artifact, pts)
     pts2d = pts[:, None] if pts.ndim == 1 else pts
     header = [f"x{i + 1}" for i in range(pts2d.shape[1])] + ["prediction"]
-    rows = [tuple(row) + (p,) for row, p in zip(pts2d, preds)]
-    write_csv(args.out, header, rows)
-    print(f"wrote {len(rows)} predictions to {args.out}")
+    write_csv(args.out, header, [*pts2d.T, preds])
+    print(f"wrote {len(preds)} predictions to {args.out}")
     return 0
 
 
@@ -242,10 +245,11 @@ def _cmd_bench(args) -> int:
     methods = tuple(args.methods.split(",")) if args.methods else BENCH_METHODS
     cells = bench_fit_scaling(steps=steps, reps=args.reps, n_train=args.n_train, seed=args.seed,
                               methods=methods)
+    fields = ("method", "steps", "rel_mean", "rel_q10", "rel_q90", "reps")
     write_csv(
         args.out,
         ["method", "steps", "rel_time_mean", "rel_time_q10", "rel_time_q90", "reps"],
-        [(c.method, c.steps, c.rel_mean, c.rel_q10, c.rel_q90, c.reps) for c in cells],
+        [[getattr(c, name) for c in cells] for name in fields],
     )
     print(f"wrote {len(cells)} timing cells to {args.out}")
     return 0
@@ -336,10 +340,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.fn(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

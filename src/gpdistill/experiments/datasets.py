@@ -11,6 +11,8 @@ CSV format: header x1,...,xd,y; one row per observation.
 from __future__ import annotations
 
 import csv
+import io
+import re
 from pathlib import Path
 
 import numpy as np
@@ -55,32 +57,70 @@ def format_float(v) -> str:
     return format(float(v), ".17g")
 
 
+# csv.writer (QUOTE_MINIMAL) quotes a cell holding any of these characters.
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
+
+
+def _write_table(path, header, columns) -> None:
+    """CSV of a header row and equal-length columns, one row per index.
+
+    str columns are written verbatim, every other column as floats with 17
+    significant digits; lines end in \\r\\n. The bytes are those of csv.writer
+    over `format_float` cells, built in one formatting pass. A str cell that
+    csv.writer would quote raises ValueError instead.
+    """
+    columns = [np.asarray(c) for c in columns]
+    if len(columns) != len(header) or any(c.ndim != 1 for c in columns):
+        raise ValueError(f"expected {len(header)} one-dimensional columns for {header}")
+    n_rows = len(columns[0]) if columns else 0
+    if any(len(c) != n_rows for c in columns):
+        raise ValueError(f"columns of {header} differ in length")
+    width = len(columns)
+    templates, flat = [], [None] * (n_rows * width)
+    for j, column in enumerate(columns):
+        if column.dtype.kind == "U":
+            templates.append("%s")
+            flat[j::width] = values = column.tolist()
+            _check_plain(values, width)
+        else:
+            templates.append("%.17g")
+            flat[j::width] = column.astype(float).tolist()
+    _check_plain(header, width)
+    row = ",".join(templates) + "\r\n"
+    with open(path, "w", newline="") as handle:
+        handle.write(",".join(header) + "\r\n" + (row * n_rows) % tuple(flat))
+
+
+def _check_plain(cells, width: int) -> None:
+    for cell in set(cells):
+        # csv.writer also quotes a row that is one empty cell
+        if _NEEDS_QUOTES.search(cell) or (width == 1 and not cell):
+            raise ValueError(f"CSV cell {cell!r} would need quoting")
+
+
 def write_dataset_csv(path, xs, ys) -> None:
     pts = as_points(xs)
-    ys = np.asarray(ys, dtype=float).ravel()
     header = [f"x{i + 1}" for i in range(pts.shape[1])] + ["y"]
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for row, y in zip(pts, ys):
-            writer.writerow([format_float(v) for v in row] + [format_float(y)])
+    _write_table(path, header, [*pts.T, np.ravel(ys)])
 
 
 def _read_xy(path) -> tuple[np.ndarray, np.ndarray]:
     path = Path(path)
     with open(path, newline="") as handle:
-        reader = csv.reader(handle)
         try:
-            header = next(reader)
+            header = next(csv.reader(handle))
         except StopIteration:
             raise ValueError(f"{path}: empty CSV") from None
         expected = [f"x{i + 1}" for i in range(len(header) - 1)] + ["y"]
         if [h.strip() for h in header] != expected:
             raise ValueError(f"{path}: expected header {','.join(expected)}, got {','.join(header)}")
-        rows = [[float(v) for v in row] for row in reader if row]
-    if not rows:
+        body = handle.read()
+    # loadtxt warns on a body with no data; say so as an error instead
+    if not body.strip():
         raise ValueError(f"{path}: no data rows")
-    data = np.asarray(rows, dtype=float)
+    # newline="" splits lines at \r, \n and \r\n untranslated, as csv.reader did
+    data = np.loadtxt(io.StringIO(body, newline=""), delimiter=",", ndmin=2, comments=None,
+                      quotechar='"')
     return data[:, :-1], data[:, -1]
 
 

@@ -7,7 +7,6 @@ reconstructible from its output directory alone.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,7 +33,7 @@ from ..gridsearch import GridSpec, grid_search
 from ..kernels import KernelParams
 from ..laplace import BERNOULLI, gpc_predict_proba, laplace_mode
 from .datasets import (
-    format_float,
+    _write_table,
     gen_classification_toy,
     gen_regression_toy,
     load_classification_csv,
@@ -76,23 +75,15 @@ class ExperimentConfig:
             raise ValueError(f"n_train must be at least 1, got {self.n_train}")
 
 
-def write_csv(path, header: list[str], rows) -> None:
-    """CSV with a header row and 17-significant-digit floats."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                [v if isinstance(v, str) else format_float(v) for v in row]
-            )
+def write_csv(path, header: list[str], columns) -> None:
+    """CSV with a header row and one column per header entry: str cells verbatim,
+    numbers with 17 significant digits (see `datasets._write_table`)."""
+    _write_table(path, header, columns)
 
 
 def write_grid_csv(path, result) -> None:
-    write_csv(
-        path,
-        ["sigma_f", "length_scale", "noise", "nll"],
-        [(c.sigma_f, c.length_scale, c.noise, c.nll) for c in result.cells],
-    )
+    header = ["sigma_f", "length_scale", "noise", "nll"]
+    write_csv(path, header, [[getattr(c, name) for c in result.cells] for name in header])
 
 
 def _output_dir(config: ExperimentConfig) -> Path:
@@ -201,9 +192,6 @@ def _resolve_classification_params(config: ExperimentConfig, data) -> tuple[Kern
 # regression reproductions
 # ---------------------------------------------------------------------------
 
-# The ten-step schedule "(0.1, ..., 1)" is taken as an equidistant linspace.
-DEFAULT_TEN_STEP = tuple(np.linspace(0.1, 1.0, 10))
-
 # Schedule ablations: constant, decreasing, and two ramps of different height.
 ABLATION_SCHEDULES = {
     "const-0.2": tuple(np.full(10, 0.2)),
@@ -213,29 +201,38 @@ ABLATION_SCHEDULES = {
 }
 
 
-def _gpr_distill_rows(data, params, schedule, method: str, test_xs):
-    rows = []
+def _keyed_blocks(keys, xs) -> list[np.ndarray]:
+    """Columns key and x of a table holding one block of the points xs per key."""
+    xs = np.ravel(xs)
+    return [np.repeat(keys, len(xs)), np.tile(xs, len(keys))]
+
+
+def _gpr_distill_columns(data, params, schedule, method: str, test_xs) -> list[np.ndarray]:
+    """Columns step, x, mean, p2.5, p97.5 with one block of test points per step."""
+    means, sds = [], []
     for t in range(1, len(schedule) + 1):
         if method == "data":
             mean, cov = data_centric_predict(data, params, schedule, test_xs, step=t)
         else:
             mean, cov = distribution_centric_closed_form(data, params, schedule, t, test_xs)
-        sd = np.sqrt(np.maximum(np.diag(cov), 0.0))
-        for x, mu, s in zip(np.ravel(test_xs), mean, sd):
-            rows.append((t, x, mu, mu - Z975 * s, mu + Z975 * s))
-    return rows
+        means.append(mean)
+        sds.append(np.sqrt(np.maximum(np.diag(cov), 0.0)))
+    mean, sd = np.concatenate(means), np.concatenate(sds)
+    return [*_keyed_blocks(np.arange(1, len(schedule) + 1), test_xs),
+            mean, mean - Z975 * sd, mean + Z975 * sd]
 
 
 def _run_gpr_ten_step(config: ExperimentConfig, method: str) -> dict:
     data, source = _regression_data(config)
     params, noise, param_meta = _resolve_regression_params(config, data)
-    gammas = config.gammas or DEFAULT_TEN_STEP
+    # the paper's ramp "(0.1, ..., 1)", taken as equidistant over config.steps steps
+    gammas = config.gammas or tuple(np.linspace(0.1, 1.0, config.steps))
     schedule = DistillSchedule(gammas=gammas)
     test_xs = np.linspace(0.0, 10.0, 200)
 
-    rows = _gpr_distill_rows(data, params, schedule, method, test_xs)
+    columns = _gpr_distill_columns(data, params, schedule, method, test_xs)
     pred_path = _output_dir(config) / "predictions.csv"
-    write_csv(pred_path, ["step", "x", "mean", "p2.5", "p97.5"], rows)
+    write_csv(pred_path, ["step", "x", "mean", "p2.5", "p97.5"], columns)
 
     files = {"predictions": pred_path.name}
     extras: dict = {}
@@ -245,7 +242,8 @@ def _run_gpr_ten_step(config: ExperimentConfig, method: str) -> dict:
         write_csv(
             tpath,
             ["step", "index", "target"],
-            [(t + 1, i, y) for t, ys in enumerate(targets) for i, y in enumerate(ys)],
+            [*_keyed_blocks(np.arange(1, len(targets) + 1), np.arange(data.n)),
+             np.concatenate(targets)],
         )
         files["targets"] = tpath.name
     else:
@@ -254,7 +252,8 @@ def _run_gpr_ten_step(config: ExperimentConfig, method: str) -> dict:
         write_csv(
             epath,
             ["step", "gamma_minus", "effective_noise"],
-            [(t + 1, e.gamma_minus, e.effective) for t, e in enumerate(effs)],
+            [np.arange(1, len(effs) + 1), [e.gamma_minus for e in effs],
+             [e.effective for e in effs]],
         )
         files["effective_noise"] = epath.name
         extras["effective_noise_final"] = effs[-1].effective
@@ -280,13 +279,14 @@ def _run_gpr_schedule_ablations(config: ExperimentConfig, method: str) -> dict:
     data, source = _regression_data(config)
     params, noise, param_meta = _resolve_regression_params(config, data)
     test_xs = np.linspace(0.0, 10.0, 200)
-    rows = []
-    for label, gammas in ABLATION_SCHEDULES.items():
-        schedule = DistillSchedule(gammas=gammas)
-        for row in _gpr_distill_rows(data, params, schedule, method, test_xs):
-            rows.append((label,) + row)
+    blocks = [
+        _gpr_distill_columns(data, params, DistillSchedule(gammas=gammas), method, test_xs)
+        for gammas in ABLATION_SCHEDULES.values()
+    ]
+    labels = np.repeat(list(ABLATION_SCHEDULES), [len(b[0]) for b in blocks])
+    columns = [labels] + [np.concatenate(c) for c in zip(*blocks)]
     pred_path = _output_dir(config) / "predictions.csv"
-    write_csv(pred_path, ["schedule", "step", "x", "mean", "p2.5", "p97.5"], rows)
+    write_csv(pred_path, ["schedule", "step", "x", "mean", "p2.5", "p97.5"], columns)
     manifest = {
         "experiment": config.experiment,
         "seed": config.seed,
@@ -341,12 +341,13 @@ def _run_gpc_data_cb(config: ExperimentConfig) -> dict:
         "step2-cb-hard-labels": (fit_hard_cb.fit, fit_hard_cb.gram_values),
         "step2-bernoulli-hard-labels": (fit_hard_b, step1.gram_values),
     }
-    rows = []
-    for label, (fit, K) in variants.items():
-        probs = gpc_predict_proba(fit, K, data.xs, test_xs, params, method=proba_method)
-        rows.extend((label, x, p) for x, p in zip(test_xs, probs))
+    probs = [
+        gpc_predict_proba(fit, K, data.xs, test_xs, params, method=proba_method)
+        for fit, K in variants.values()
+    ]
+    columns = [*_keyed_blocks(list(variants), test_xs), np.concatenate(probs)]
     pred_path = _output_dir(config) / "predictions.csv"
-    write_csv(pred_path, ["variant", "x", "probability"], rows)
+    write_csv(pred_path, ["variant", "x", "probability"], columns)
 
     manifest = {
         "experiment": config.experiment,
@@ -378,17 +379,19 @@ def _run_gpc_dist_ten_step(config: ExperimentConfig) -> dict:
     iterated = distribution_centric_gpc_iterated(data, params, steps)
     scaled = [distribution_centric_gpc_scaled(data, params, t) for t in range(1, steps + 1)]
 
-    rows = []
-    for t, (it_step, sc_step) in enumerate(zip(iterated, scaled), start=1):
-        p_it = posterior_proba(it_step.posterior, test_xs, method=proba_method)
-        p_sc = posterior_proba(sc_step.posterior, test_xs, method=proba_method)
-        rows.extend((t, x, pi, ps) for x, pi, ps in zip(test_xs, p_it, p_sc))
+    columns = [
+        *_keyed_blocks(np.arange(1, steps + 1), test_xs),
+        np.concatenate([posterior_proba(s.posterior, test_xs, method=proba_method)
+                        for s in iterated]),
+        np.concatenate([posterior_proba(s.posterior, test_xs, method=proba_method)
+                        for s in scaled]),
+    ]
     errors = approximation_error(iterated, scaled, test_xs, method=proba_method)
 
     pred_path = _output_dir(config) / "predictions.csv"
-    write_csv(pred_path, ["step", "x", "probability_iterated", "probability_scaled"], rows)
+    write_csv(pred_path, ["step", "x", "probability_iterated", "probability_scaled"], columns)
     err_path = config.out_dir / "approximation_error.csv"
-    write_csv(err_path, ["step", "mse"], list(enumerate(errors, start=1)))
+    write_csv(err_path, ["step", "mse"], [np.arange(1, len(errors) + 1), errors])
 
     manifest = {
         "experiment": config.experiment,

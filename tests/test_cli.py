@@ -174,6 +174,25 @@ class TestExitCodes:
         assert code == 1
         assert "exceeds" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sigma_f", ["-2", "0", "nan", "inf"])
+    @pytest.mark.parametrize("argv", [
+        ("fit", "--method", "gpr"),
+        ("fit", "--method", "gpc"),
+        ("distill", "--method", "gpr-dist", "--gammas", "0.5"),
+        ("distill", "--method", "gpc-dist", "--steps", "2"),
+    ], ids=["fit-gpr", "fit-gpc", "distill-gpr-dist", "distill-gpc-dist"])
+    def test_sigma_f_not_positive_is_one_and_writes_nothing(self, tmp_path, capsys, argv,
+                                                            sigma_f):
+        # the kernel holds sigma_f squared, so a negative scale must be caught before it
+        kind = "regression" if "gpr" in " ".join(argv) else "classification"
+        data = tmp_path / "data.csv"
+        run("gen-data", "--kind", kind, "--n", "12", "--seed", "0", "--out", data)
+        capsys.readouterr()
+        model = tmp_path / "m.json"
+        assert run(*argv, "--data", data, f"--sigma-f={sigma_f}", "--length-scale", "1",
+                   "--save", model) == 1
+        assert "--sigma-f must be positive and finite" in capsys.readouterr().err
+        assert not model.exists()
 
     @pytest.mark.parametrize(
         "kind, argv",
@@ -199,6 +218,26 @@ class TestExitCodes:
         assert run(*argv, "--data", data, *target) == 1
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestReproduceSteps:
+    @pytest.mark.parametrize("experiment, extra", [
+        ("gpr-data-10step", "targets.csv"),
+        ("gpr-dist-10step", "effective_noise.csv"),
+    ])
+    def test_steps_sets_the_chain_length(self, tmp_path, experiment, extra):
+        out = tmp_path / "out"
+        assert run("reproduce", experiment, "--out-dir", out, "--steps", "3",
+                   "--sigma-f", "2", "--length-scale", "1.5") == 0
+        with open(out / "predictions.csv") as fh:
+            steps = [row["step"] for row in csv.DictReader(fh)]
+        assert sorted(set(steps)) == ["1", "2", "3"]
+        assert len(steps) == 3 * 200
+        with open(out / extra) as fh:
+            assert {row["step"] for row in csv.DictReader(fh)} == {"1", "2", "3"}
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["steps"] == 3
+        assert manifest["schedule"] == list(np.linspace(0.1, 1.0, 3))
 
 
 class TestReproduceDeterminism:

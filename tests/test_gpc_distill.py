@@ -235,6 +235,27 @@ class TestDistributionCentric:
         assert rel_err(steps[1].posterior.mean(test_xs), mu_o) < 1e-6
         assert rel_err(steps[1].posterior.cov(test_xs), cov_o) < 1e-5
 
+    def test_laplace_fits_counted(self, rng, monkeypatch):
+        # counted, not timed: one fit for the scaled chain at any t, t for the iterated one
+        import gpdistill.gpc_distill as distill_module
+
+        data, params = binary_instance(rng)
+        real = distill_module.laplace_mode
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(distill_module, "laplace_mode", counting)
+        for t in (1, 2, 5, 8):
+            calls.clear()
+            distribution_centric_gpc_scaled(data, params, t)
+            assert len(calls) == 1
+            calls.clear()
+            distribution_centric_gpc_iterated(data, params, t)
+            assert len(calls) == t
+
     def test_training_log_loss_non_increasing(self):
         from gpdistill.experiments.datasets import gen_classification_toy
 
