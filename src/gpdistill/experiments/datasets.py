@@ -5,7 +5,10 @@ equidistant on [0, 10]. Classification toy: inputs uniform on (0, 5), labels
 Bernoulli with probability sigma(2 sin(x pi / 2)) — the squashing through the
 logistic link is a modeling choice recorded in experiment manifests.
 
-CSV format: header x1,...,xd,y; one row per observation.
+CSV format: header x1,...,xd,y; one row per observation. Every CSV table the
+package writes goes through `_write_table` (17 significant digits, \\r\\n line
+ends, no quoted cells); the readers check the header with `csv` and parse the
+body with `numpy.loadtxt`.
 """
 
 from __future__ import annotations

@@ -2,7 +2,9 @@
 
 Outputs are data files, not rendered figures; every resolved parameter
 (including defaults the user never touched) lands in manifest.json so a run is
-reconstructible from its output directory alone.
+reconstructible from its output directory alone. Each recipe assembles its
+tables as columns (numpy arrays, or lists of labels) and writes them with
+`write_csv`.
 """
 
 from __future__ import annotations
