@@ -17,6 +17,7 @@ import numpy as np
 from ..gpr import Dataset, fit_gpr
 from ..gpr_distill import DistillSchedule, data_centric_targets_naive, effective_noise
 from ..gpc_distill import (
+    TARGET_KINDS,
     GpcDistillConfig,
     data_centric_gpc,
     distribution_centric_gpc_scaled,
@@ -41,7 +42,14 @@ from .datasets import (
     load_regression_csv,
     write_dataset_csv,
 )
-from .runner import EXPERIMENTS, ExperimentConfig, run_experiment, write_csv, write_grid_csv
+from .runner import (
+    EXPERIMENTS,
+    GRID_HEADER,
+    ExperimentConfig,
+    grid_columns,
+    run_experiment,
+    write_csv,
+)
 
 
 class UsageError(Exception):
@@ -210,7 +218,7 @@ def _cmd_grid_search(args) -> int:
     else:
         data = load_classification_csv(args.data)
     result = grid_search(data, spec, objective=objective, fixed_noise=noise)
-    write_grid_csv(args.out, result)
+    write_csv(args.out, GRID_HEADER, grid_columns(result))
     best_sf = float(np.sqrt(result.best_params.signal_variance))
     print(
         f"best: sigma_f={format_float(best_sf)} "
@@ -294,8 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--mix-alpha", type=float, default=None)
     p.add_argument("--reg-gammas", default=None)
-    p.add_argument("--target-kind", choices=("soft_mean", "latent_sigmoid", "hard_threshold"),
-                   default="soft_mean")
+    p.add_argument("--target-kind", choices=TARGET_KINDS, default="soft_mean")
     p.add_argument("--save", required=True)
     p.set_defaults(fn=_cmd_distill)
 
@@ -318,11 +325,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n-train", type=int, default=None)
-    p.add_argument("--steps", type=int, default=10)
+    p.add_argument("--steps", type=int, default=None,
+                   help="chain length (default 10); the fixed designs gpc-data-cb and "
+                        "grid-search reject it")
     p.add_argument("--sigma-f", type=float, default=None)
     p.add_argument("--length-scale", type=float, default=None)
     p.add_argument("--noise", type=float, default=None)
-    p.add_argument("--target-kind", default="soft_mean")
+    p.add_argument("--target-kind", choices=TARGET_KINDS, default="soft_mean")
     p.add_argument("--proba-method", choices=("quadrature", "latent_mean"),
                    default=None, help="default is experiment-specific and recorded")
     p.add_argument("--data", default=None)

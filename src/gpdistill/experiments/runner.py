@@ -2,9 +2,15 @@
 
 Outputs are data files, not rendered figures; every resolved parameter
 (including defaults the user never touched) lands in manifest.json so a run is
-reconstructible from its output directory alone. Each recipe assembles its
-tables as columns (numpy arrays, or lists of labels) and writes them with
-`write_csv`.
+reconstructible from its output directory alone.
+
+Recipes are pure functions. Each takes an ExperimentConfig and returns a `Run`:
+the resolved `Problem` (data, kernel hyperparameters and their manifest
+records), its tables by file key (file name, header, columns) and its own
+manifest fields. Only `run_experiment` touches the file system: once the
+recipe has returned, it creates the output directory, writes every table
+through `write_csv` and writes manifest.json, adding experiment, seed, dataset,
+kernel and files. A run that fails therefore leaves no directory.
 """
 
 from __future__ import annotations
@@ -12,8 +18,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
+from scipy.special import expit
 
 from ..gpr import Dataset
 from ..gpr_distill import (
@@ -32,10 +40,11 @@ from ..gpc_distill import (
     posterior_proba,
 )
 from ..gridsearch import GridSpec, grid_search
-from ..kernels import KernelParams
-from ..laplace import BERNOULLI, gpc_predict_proba, laplace_mode
+from ..kernels import KernelParams, SpectralDecomp, gram, spectral_decompose
+from ..laplace import BERNOULLI, BinaryDataset, gpc_predict_proba, laplace_mode
 from .datasets import (
     _write_table,
+    classification_latent_truth,
     gen_classification_toy,
     gen_regression_toy,
     load_classification_csv,
@@ -45,7 +54,15 @@ from .datasets import (
 # 2.5 / 97.5 Gaussian percentiles sit at +-z975 standard deviations.
 Z975 = 1.959964
 
+# Chain length of the ids that run one, when --steps is unset.
+DEFAULT_STEPS = 10
+
+GPR_TEST_GRID = {"start": 0.0, "stop": 10.0, "num": 200}
 GPC_TEST_GRID = {"start": -2.0, "stop": 7.0, "num": 90}
+GPC_CB_TEST_GRID = {"start": -0.5, "stop": 5.5, "num": 200}
+GRID_HEADER = ["sigma_f", "length_scale", "noise", "nll"]
+BAND_HEADER = ["step", "x", "mean", "p2.5", "p97.5"]
+BAND_FIELDS = {"test_grid": GPR_TEST_GRID, "percentiles": {"z": Z975, "levels": [2.5, 97.5]}}
 
 
 @dataclass
@@ -54,8 +71,7 @@ class ExperimentConfig:
     out_dir: Path
     seed: int = 0
     n_train: int | None = None
-    steps: int = 10
-    gammas: tuple[float, ...] | None = None
+    steps: int | None = None  # DEFAULT_STEPS for the chains; fixed designs reject it
     sigma_f: float | None = None
     length_scale: float | None = None
     noise: float | None = None
@@ -71,10 +87,33 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.noise is not None and not 0 <= self.noise < np.inf:
             raise ValueError(f"noise must be non-negative and finite, got {self.noise}")
-        if self.steps < 1:
+        if self.steps is not None and self.steps < 1:
             raise ValueError(f"steps must be at least 1, got {self.steps}")
         if self.n_train is not None and self.n_train < 1:
             raise ValueError(f"n_train must be at least 1, got {self.n_train}")
+
+
+class Table(NamedTuple):
+    name: str
+    header: list[str]
+    columns: list
+
+
+class Problem(NamedTuple):
+    """A run's data and kernel hyperparameters, with the manifest records of both."""
+
+    data: Dataset | BinaryDataset
+    params: KernelParams | None
+    dataset: dict
+    kernel: dict | None = None
+
+
+class Run(NamedTuple):
+    """What a recipe returns; `run_experiment` writes it."""
+
+    problem: Problem
+    tables: dict[str, Table]
+    fields: dict
 
 
 def write_csv(path, header: list[str], columns) -> None:
@@ -83,124 +122,96 @@ def write_csv(path, header: list[str], columns) -> None:
     _write_table(path, header, columns)
 
 
-def write_grid_csv(path, result) -> None:
-    header = ["sigma_f", "length_scale", "noise", "nll"]
-    write_csv(path, header, [[getattr(c, name) for c in result.cells] for name in header])
+def grid_columns(result) -> list[list[float]]:
+    """The GRID_HEADER columns of a grid search, one row per cell."""
+    return [[getattr(c, name) for c in result.cells] for name in GRID_HEADER]
 
 
-def _output_dir(config: ExperimentConfig) -> Path:
-    """Create the output directory once the results exist, so a failed run leaves none."""
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    return config.out_dir
+def _test_points(grid: dict) -> np.ndarray:
+    return np.linspace(grid["start"], grid["stop"], grid["num"])
 
 
-def _write_manifest(out_dir: Path, manifest: dict) -> Path:
-    path = out_dir / "manifest.json"
-    with open(path, "w") as handle:
-        json.dump(manifest, handle, indent=1, sort_keys=True)
-    return path
+def _chain_steps(config: ExperimentConfig) -> int:
+    return DEFAULT_STEPS if config.steps is None else config.steps
 
 
-def _regression_data(config: ExperimentConfig) -> tuple[Dataset, dict]:
+def _reject_steps(config: ExperimentConfig) -> None:
+    if config.steps is not None:
+        raise ValueError(f"{config.experiment} has a fixed design; --steps does not apply")
+
+
+def _load_or_generate(config: ExperimentConfig, load, generate, n_default: int, about: dict):
+    """The --data CSV, else the family's seeded toy; with the manifest's dataset record."""
     if config.dataset_csv:
-        data = load_regression_csv(config.dataset_csv)
-        source = {"kind": "csv", "path": str(config.dataset_csv)}
-    else:
-        n = config.n_train or 10
-        data = gen_regression_toy(config.seed, n=n)
-        source = {
-            "kind": "generated",
-            "generator": "z*sin(z) on equidistant [0,10] grid + unit Gaussian noise",
-            "n": n,
-            "seed": config.seed,
-        }
-    return data, source
+        return load(config.dataset_csv), {"kind": "csv", "path": str(config.dataset_csv)}
+    n = config.n_train or n_default
+    return generate(config.seed, n=n), {"kind": "generated", **about, "n": n, "seed": config.seed}
 
 
-def _classification_data(config: ExperimentConfig):
-    if config.dataset_csv:
-        data = load_classification_csv(config.dataset_csv)
-        source = {"kind": "csv", "path": str(config.dataset_csv)}
-    else:
-        n = config.n_train or 30
-        data = gen_classification_toy(config.seed, n=n)
-        source = {
-            "kind": "generated",
-            "generator": "x ~ U(0,5); y ~ Bernoulli(sigma(2 sin(x pi/2)))",
-            "label_squash": "logistic sigma applied to the latent truth",
-            "n": n,
-            "seed": config.seed,
-        }
-    return data, source
-
-
-def _resolve_regression_params(config: ExperimentConfig, data: Dataset) -> tuple[KernelParams, float, dict]:
-    """Kernel hyperparameters for the regression toys.
+def _select_kernel(config: ExperimentConfig, data, objective: str, axis_sf, axis_l,
+                   **search) -> tuple[KernelParams, dict]:
+    """The user's sigma_f and length_scale when both are set, else the argmin of a grid search.
 
     The toys leave the kernel hyperparameters free, so unless the caller pins
-    them we grid-search the marginal NLL (noise held at the generator's unit
-    variance) and record everything.
+    them we grid-search the marginal NLL and record everything.
     """
-    noise = config.noise if config.noise is not None else 1.0
-    if config.sigma_f is not None and config.length_scale is not None:
-        params = KernelParams(signal_variance=config.sigma_f**2, length_scale=config.length_scale)
-        meta = {"selection": "user-fixed", "sigma_f": config.sigma_f,
-                "length_scale": config.length_scale, "noise": noise}
-        return params, noise, meta
-    axis_sf = tuple(np.logspace(-0.5, 1.0, 10))
-    axis_l = tuple(np.logspace(-1.0, 1.5, 10))
-    result = grid_search(
-        data,
-        GridSpec(sigma_f_values=axis_sf, length_scale_values=axis_l),
-        objective="gpr_nll",
-        fixed_noise=noise,
-    )
-    meta = {
-        "selection": "grid-search gpr_nll",
-        "sigma_f_axis": list(axis_sf),
-        "length_scale_axis": list(axis_l),
-        "noise": noise,
-        "best_sigma_f": float(np.sqrt(result.best_params.signal_variance)),
-        "best_length_scale": result.best_params.length_scale,
-        "best_nll": result.best_nll,
-    }
-    return result.best_params, noise, meta
-
-
-def _resolve_classification_params(config: ExperimentConfig, data) -> tuple[KernelParams, dict]:
     if config.sigma_f is not None and config.length_scale is not None:
         params = KernelParams(signal_variance=config.sigma_f**2, length_scale=config.length_scale)
         return params, {"selection": "user-fixed", "sigma_f": config.sigma_f,
                         "length_scale": config.length_scale}
-    axis_sf = tuple(np.logspace(-0.3, 0.8, 8))
-    axis_l = tuple(np.logspace(-0.7, 0.9, 8))
-    result = grid_search(
-        data,
-        GridSpec(sigma_f_values=axis_sf, length_scale_values=axis_l),
-        objective="gpc_bernoulli_nll",
-    )
-    meta = {
-        "selection": "grid-search gpc_bernoulli_nll",
+    axis_sf, axis_l = tuple(axis_sf), tuple(axis_l)
+    result = grid_search(data, GridSpec(sigma_f_values=axis_sf, length_scale_values=axis_l),
+                         objective=objective, **search)
+    return result.best_params, {
+        "selection": f"grid-search {objective}",
         "sigma_f_axis": list(axis_sf),
         "length_scale_axis": list(axis_l),
         "best_sigma_f": float(np.sqrt(result.best_params.signal_variance)),
         "best_length_scale": result.best_params.length_scale,
         "best_nll": result.best_nll,
     }
-    return result.best_params, meta
+
+
+def _regression_problem(config: ExperimentConfig) -> Problem:
+    data, source = _load_or_generate(
+        config, load_regression_csv, gen_regression_toy, 10,
+        {"generator": "z*sin(z) on equidistant [0,10] grid + unit Gaussian noise"},
+    )
+    # the search holds the noise at the generator's unit variance
+    noise = config.noise if config.noise is not None else 1.0
+    params, kernel = _select_kernel(config, data, "gpr_nll", np.logspace(-0.5, 1.0, 10),
+                                    np.logspace(-1.0, 1.5, 10), fixed_noise=noise)
+    return Problem(data, params, source, {**kernel, "noise": noise})
+
+
+def _classification_data(config: ExperimentConfig):
+    return _load_or_generate(
+        config, load_classification_csv, gen_classification_toy, 30,
+        {"generator": "x ~ U(0,5); y ~ Bernoulli(sigma(2 sin(x pi/2)))",
+         "label_squash": "logistic sigma applied to the latent truth"},
+    )
+
+
+def _classification_problem(config: ExperimentConfig) -> Problem:
+    data, source = _classification_data(config)
+    params, kernel = _select_kernel(config, data, "gpc_bernoulli_nll", np.logspace(-0.3, 0.8, 8),
+                                    np.logspace(-0.7, 0.9, 8))
+    return Problem(data, params, source, kernel)
 
 
 # ---------------------------------------------------------------------------
 # regression reproductions
 # ---------------------------------------------------------------------------
 
-# Schedule ablations: constant, decreasing, and two ramps of different height.
-ABLATION_SCHEDULES = {
-    "const-0.2": tuple(np.full(10, 0.2)),
-    "down-1.0-0.1": tuple(np.linspace(1.0, 0.1, 10)),
-    "up-0.1-3.0": tuple(np.linspace(0.1, 3.0, 10)),
-    "down-3.0-0.1": tuple(np.linspace(3.0, 0.1, 10)),
-}
+
+def _ablation_schedules(steps: int) -> dict[str, tuple[float, ...]]:
+    """Schedule ablations: constant, decreasing, and two ramps of different height."""
+    return {
+        "const-0.2": tuple(np.full(steps, 0.2)),
+        "down-1.0-0.1": tuple(np.linspace(1.0, 0.1, steps)),
+        "up-0.1-3.0": tuple(np.linspace(0.1, 3.0, steps)),
+        "down-3.0-0.1": tuple(np.linspace(3.0, 0.1, steps)),
+    }
 
 
 def _keyed_blocks(keys, xs) -> list[np.ndarray]:
@@ -209,14 +220,22 @@ def _keyed_blocks(keys, xs) -> list[np.ndarray]:
     return [np.repeat(keys, len(xs)), np.tile(xs, len(keys))]
 
 
-def _gpr_distill_columns(data, params, schedule, method: str, test_xs) -> list[np.ndarray]:
-    """Columns step, x, mean, p2.5, p97.5 with one block of test points per step."""
+def _decompose(problem: Problem) -> SpectralDecomp:
+    """The one eigendecomposition of the noiseless K that every step of a regression run shares."""
+    return spectral_decompose(gram(problem.data.xs, problem.params, add_jitter=False))
+
+
+def _gpr_band_columns(problem: Problem, decomp: SpectralDecomp, schedule: DistillSchedule,
+                      method: str) -> list[np.ndarray]:
+    """BAND_HEADER columns with one block of test points per step."""
+    data, params, test_xs = problem.data, problem.params, _test_points(GPR_TEST_GRID)
     means, sds = [], []
     for t in range(1, len(schedule) + 1):
         if method == "data":
-            mean, cov = data_centric_predict(data, params, schedule, test_xs, step=t)
+            mean, cov = data_centric_predict(data, params, schedule, test_xs, step=t, decomp=decomp)
         else:
-            mean, cov = distribution_centric_closed_form(data, params, schedule, t, test_xs)
+            mean, cov = distribution_centric_closed_form(data, params, schedule, t, test_xs,
+                                                         decomp=decomp)
         means.append(mean)
         sds.append(np.sqrt(np.maximum(np.diag(cov), 0.0)))
     mean, sd = np.concatenate(means), np.concatenate(sds)
@@ -224,83 +243,47 @@ def _gpr_distill_columns(data, params, schedule, method: str, test_xs) -> list[n
             mean, mean - Z975 * sd, mean + Z975 * sd]
 
 
-def _run_gpr_ten_step(config: ExperimentConfig, method: str) -> dict:
-    data, source = _regression_data(config)
-    params, noise, param_meta = _resolve_regression_params(config, data)
-    # the paper's ramp "(0.1, ..., 1)", taken as equidistant over config.steps steps
-    gammas = config.gammas or tuple(np.linspace(0.1, 1.0, config.steps))
-    schedule = DistillSchedule(gammas=gammas)
-    test_xs = np.linspace(0.0, 10.0, 200)
-
-    columns = _gpr_distill_columns(data, params, schedule, method, test_xs)
-    pred_path = _output_dir(config) / "predictions.csv"
-    write_csv(pred_path, ["step", "x", "mean", "p2.5", "p97.5"], columns)
-
-    files = {"predictions": pred_path.name}
-    extras: dict = {}
+def _gpr_ten_step(config: ExperimentConfig, method: str) -> Run:
+    problem = _regression_problem(config)
+    # the paper's ramp "(0.1, ..., 1)", taken as equidistant over the chain's steps
+    schedule = DistillSchedule(gammas=tuple(np.linspace(0.1, 1.0, _chain_steps(config))))
+    steps = np.arange(1, len(schedule) + 1)
+    tables = {"predictions": Table("predictions.csv", BAND_HEADER, _gpr_band_columns(
+        problem, _decompose(problem), schedule, method))}
+    fields = {
+        "schedule": list(schedule.gammas),
+        "schedule_note": "equidistant spacing assumed for the paper's ramp (0.1, ..., 1)",
+        "steps": len(schedule),
+        **BAND_FIELDS,
+    }
     if method == "data":
-        targets = data_centric_targets_naive(data, params, schedule)
-        tpath = config.out_dir / "targets.csv"
-        write_csv(
-            tpath,
-            ["step", "index", "target"],
-            [*_keyed_blocks(np.arange(1, len(targets) + 1), np.arange(data.n)),
-             np.concatenate(targets)],
-        )
-        files["targets"] = tpath.name
+        targets = data_centric_targets_naive(problem.data, problem.params, schedule)
+        tables["targets"] = Table("targets.csv", ["step", "index", "target"], [
+            *_keyed_blocks(steps, np.arange(problem.data.n)), np.concatenate(targets)])
     else:
-        effs = [effective_noise(schedule, t) for t in range(1, len(schedule) + 1)]
-        epath = config.out_dir / "effective_noise.csv"
-        write_csv(
-            epath,
-            ["step", "gamma_minus", "effective_noise"],
-            [np.arange(1, len(effs) + 1), [e.gamma_minus for e in effs],
-             [e.effective for e in effs]],
+        effs = [effective_noise(schedule, t) for t in steps]
+        tables["effective_noise"] = Table(
+            "effective_noise.csv", ["step", "gamma_minus", "effective_noise"],
+            [steps, [e.gamma_minus for e in effs], [e.effective for e in effs]],
         )
-        files["effective_noise"] = epath.name
-        extras["effective_noise_final"] = effs[-1].effective
-
-    manifest = {
-        "experiment": config.experiment,
-        "seed": config.seed,
-        "dataset": source,
-        "kernel": param_meta,
-        "schedule": list(gammas),
-        "schedule_note": "equidistant spacing assumed for the ten-step ramp",
-        "steps": len(gammas),
-        "test_grid": {"start": 0.0, "stop": 10.0, "num": 200},
-        "percentiles": {"z": Z975, "levels": [2.5, 97.5]},
-        "files": files,
-        **extras,
-    }
-    _write_manifest(config.out_dir, manifest)
-    return manifest
+        fields["effective_noise_final"] = effs[-1].effective
+    return Run(problem, tables, fields)
 
 
-def _run_gpr_schedule_ablations(config: ExperimentConfig, method: str) -> dict:
-    data, source = _regression_data(config)
-    params, noise, param_meta = _resolve_regression_params(config, data)
-    test_xs = np.linspace(0.0, 10.0, 200)
-    blocks = [
-        _gpr_distill_columns(data, params, DistillSchedule(gammas=gammas), method, test_xs)
-        for gammas in ABLATION_SCHEDULES.values()
-    ]
-    labels = np.repeat(list(ABLATION_SCHEDULES), [len(b[0]) for b in blocks])
+def _gpr_schedule_ablations(config: ExperimentConfig, method: str) -> Run:
+    problem = _regression_problem(config)
+    decomp = _decompose(problem)
+    schedules = _ablation_schedules(_chain_steps(config))
+    blocks = [_gpr_band_columns(problem, decomp, DistillSchedule(gammas=gammas), method)
+              for gammas in schedules.values()]
+    labels = np.repeat(list(schedules), [len(b[0]) for b in blocks])
     columns = [labels] + [np.concatenate(c) for c in zip(*blocks)]
-    pred_path = _output_dir(config) / "predictions.csv"
-    write_csv(pred_path, ["schedule", "step", "x", "mean", "p2.5", "p97.5"], columns)
-    manifest = {
-        "experiment": config.experiment,
-        "seed": config.seed,
-        "dataset": source,
-        "kernel": param_meta,
-        "schedules": {k: list(v) for k, v in ABLATION_SCHEDULES.items()},
-        "test_grid": {"start": 0.0, "stop": 10.0, "num": 200},
-        "percentiles": {"z": Z975, "levels": [2.5, 97.5]},
-        "files": {"predictions": pred_path.name},
-    }
-    _write_manifest(config.out_dir, manifest)
-    return manifest
+    table = Table("predictions.csv", ["schedule", *BAND_HEADER], columns)
+    return Run(problem, {"predictions": table}, {
+        "schedules": {k: list(v) for k, v in schedules.items()},
+        "steps": _chain_steps(config),
+        **BAND_FIELDS,
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -308,31 +291,24 @@ def _run_gpr_schedule_ablations(config: ExperimentConfig, method: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _run_gpc_data_cb(config: ExperimentConfig) -> dict:
-    data, source = _classification_data(config)
-    params, param_meta = _resolve_classification_params(config, data)
-    test_xs = np.linspace(-0.5, 5.5, 200)
+def _gpc_data_cb(config: ExperimentConfig) -> Run:
+    _reject_steps(config)
+    problem = _classification_problem(config)
+    data, params = problem.data, problem.params
     proba_method = config.proba_method or "quadrature"
     reg_gamma = config.noise if config.noise is not None else 0.5
 
-    chain = data_centric_gpc(data, params, GpcDistillConfig(steps=2, target_kind=config.target_kind))
-    step1, step2_cb = chain[0], chain[1]
+    def two_steps(**kwargs):
+        return data_centric_gpc(data, params, GpcDistillConfig(steps=2, **kwargs))
 
+    step1, step2_cb = two_steps(target_kind=config.target_kind)
     # misspecified comparison: ordinary Bernoulli refit on the continuous targets
     fit_b = laplace_mode(step1.predicted, step1.gram_values, likelihood=BERNOULLI)
-
     # regularized CB refit
-    reg_chain = data_centric_gpc(
-        data, params, GpcDistillConfig(steps=2, target_kind=config.target_kind,
-                                       reg_gammas=(0.0, reg_gamma))
-    )
-    step2_cb_reg = reg_chain[1]
-
+    step2_cb_reg = two_steps(target_kind=config.target_kind, reg_gammas=(0.0, reg_gamma))[1]
     # hard-label refits (thresholded at 0.5): Bernoulli is well-specified here
     hard = (step1.predicted >= 0.5).astype(float)
-    fit_hard_cb = data_centric_gpc(
-        data, params, GpcDistillConfig(steps=2, target_kind="hard_threshold")
-    )[1]
+    fit_hard_cb = two_steps(target_kind="hard_threshold")[1]
     fit_hard_b = laplace_mode(hard, step1.gram_values, likelihood=BERNOULLI)
 
     variants = {
@@ -343,44 +319,34 @@ def _run_gpc_data_cb(config: ExperimentConfig) -> dict:
         "step2-cb-hard-labels": (fit_hard_cb.fit, fit_hard_cb.gram_values),
         "step2-bernoulli-hard-labels": (fit_hard_b, step1.gram_values),
     }
+    test_xs = _test_points(GPC_CB_TEST_GRID)
     probs = [
         gpc_predict_proba(fit, K, data.xs, test_xs, params, method=proba_method)
         for fit, K in variants.values()
     ]
     columns = [*_keyed_blocks(list(variants), test_xs), np.concatenate(probs)]
-    pred_path = _output_dir(config) / "predictions.csv"
-    write_csv(pred_path, ["variant", "x", "probability"], columns)
-
-    manifest = {
-        "experiment": config.experiment,
-        "seed": config.seed,
-        "dataset": source,
-        "kernel": param_meta,
+    table = Table("predictions.csv", ["variant", "x", "probability"], columns)
+    return Run(problem, {"predictions": table}, {
         "target_kind": config.target_kind,
         "probability_method": proba_method,
         "regularizer_gamma": reg_gamma,
         "variants": sorted(variants),
-        "test_grid": {"start": -0.5, "stop": 5.5, "num": 200},
-        "files": {"predictions": pred_path.name},
-    }
-    _write_manifest(config.out_dir, manifest)
-    return manifest
+        "test_grid": GPC_CB_TEST_GRID,
+    })
 
 
-def _run_gpc_dist_ten_step(config: ExperimentConfig) -> dict:
-    data, source = _classification_data(config)
-    params, param_meta = _resolve_classification_params(config, data)
-    grid = GPC_TEST_GRID
-    test_xs = np.linspace(grid["start"], grid["stop"], grid["num"])
-    steps = config.steps
+def _gpc_dist_ten_step(config: ExperimentConfig) -> Run:
+    problem = _classification_problem(config)
+    test_xs = _test_points(GPC_TEST_GRID)
+    steps = _chain_steps(config)
     # latent-mean probabilities by default: the two chains track each other in
     # the mean but their posterior variances drift apart, so the quadrature
     # average would fold that drift into the error series
     proba_method = config.proba_method or "latent_mean"
 
-    iterated = distribution_centric_gpc_iterated(data, params, steps)
-    scaled = [distribution_centric_gpc_scaled(data, params, t) for t in range(1, steps + 1)]
-
+    iterated = distribution_centric_gpc_iterated(problem.data, problem.params, steps)
+    scaled = [distribution_centric_gpc_scaled(problem.data, problem.params, t)
+              for t in range(1, steps + 1)]
     columns = [
         *_keyed_blocks(np.arange(1, steps + 1), test_xs),
         np.concatenate([posterior_proba(s.posterior, test_xs, method=proba_method)
@@ -389,82 +355,74 @@ def _run_gpc_dist_ten_step(config: ExperimentConfig) -> dict:
                         for s in scaled]),
     ]
     errors = approximation_error(iterated, scaled, test_xs, method=proba_method)
-
-    pred_path = _output_dir(config) / "predictions.csv"
-    write_csv(pred_path, ["step", "x", "probability_iterated", "probability_scaled"], columns)
-    err_path = config.out_dir / "approximation_error.csv"
-    write_csv(err_path, ["step", "mse"], [np.arange(1, len(errors) + 1), errors])
-
-    manifest = {
-        "experiment": config.experiment,
-        "seed": config.seed,
-        "dataset": source,
-        "kernel": param_meta,
-        "steps": steps,
-        "probability_method": proba_method,
-        "test_grid": grid,
-        "files": {"predictions": pred_path.name, "approximation_error": err_path.name},
-    }
-    _write_manifest(config.out_dir, manifest)
-    return manifest
+    return Run(problem, {
+        "predictions": Table("predictions.csv",
+                             ["step", "x", "probability_iterated", "probability_scaled"], columns),
+        "approximation_error": Table("approximation_error.csv", ["step", "mse"],
+                                     [np.arange(1, len(errors) + 1), errors]),
+    }, {"steps": steps, "probability_method": proba_method, "test_grid": GPC_TEST_GRID})
 
 
-def _run_grid_search(config: ExperimentConfig) -> dict:
-    from scipy.special import expit
-
-    from ..laplace import BinaryDataset
-    from .datasets import classification_latent_truth
-
+def _grid_search(config: ExperimentConfig) -> Run:
+    _reject_steps(config)
     data, source = _classification_data(config)
     # The grids are swept on the continuous truth sigma(g(x)) at the sampled
     # inputs: that is the setting where the continuous likelihood is
     # well-specified and both sweeps have interior minimizers.
-    cont_targets = expit(classification_latent_truth(data.xs.ravel()))
-    data = BinaryDataset(data.xs, cont_targets)
+    data = BinaryDataset(data.xs, expit(classification_latent_truth(data.xs.ravel())))
     source = {**source, "targets": "continuous truth sigma(2 sin(x pi/2)) at the inputs"}
     axis_sf = tuple(np.logspace(-0.5, 1.0, 12))
     axis_l = tuple(np.logspace(-1.0, 1.0, 12))
     spec = GridSpec(sigma_f_values=axis_sf, length_scale_values=axis_l)
-    files = {"gpc_bernoulli_nll": "grid_bernoulli.csv", "gpc_cb_nll": "grid_cb.csv"}
-    results = {objective: grid_search(data, spec, objective=objective) for objective in files}
-    out_dir = _output_dir(config)
-    minima = {}
-    for objective, result in results.items():
-        write_grid_csv(out_dir / files[objective], result)
-        minima[objective] = {
+    names = {"gpc_bernoulli_nll": "grid_bernoulli.csv", "gpc_cb_nll": "grid_cb.csv"}
+    results = {objective: grid_search(data, spec, objective=objective) for objective in names}
+    tables = {objective: Table(names[objective], GRID_HEADER, grid_columns(result))
+              for objective, result in results.items()}
+    minima = {
+        objective: {
             "sigma_f": float(np.sqrt(result.best_params.signal_variance)),
             "length_scale": result.best_params.length_scale,
             "nll": result.best_nll,
         }
-    manifest = {
-        "experiment": config.experiment,
-        "seed": config.seed,
-        "dataset": source,
-        "sigma_f_axis": list(axis_sf),
-        "length_scale_axis": list(axis_l),
-        "minima": minima,
-        "files": files,
+        for objective, result in results.items()
     }
-    _write_manifest(config.out_dir, manifest)
-    return manifest
+    return Run(Problem(data, None, source), tables,
+               {"sigma_f_axis": list(axis_sf), "length_scale_axis": list(axis_l), "minima": minima})
 
 
 EXPERIMENTS = {
-    "gpr-data-10step": lambda cfg: _run_gpr_ten_step(cfg, "data"),
-    "gpr-dist-10step": lambda cfg: _run_gpr_ten_step(cfg, "dist"),
-    "gpr-data-schedules": lambda cfg: _run_gpr_schedule_ablations(cfg, "data"),
-    "gpr-dist-schedules": lambda cfg: _run_gpr_schedule_ablations(cfg, "dist"),
-    "gpc-data-cb": _run_gpc_data_cb,
-    "gpc-dist-10step": _run_gpc_dist_ten_step,
-    "grid-search": _run_grid_search,
+    "gpr-data-10step": lambda cfg: _gpr_ten_step(cfg, "data"),
+    "gpr-dist-10step": lambda cfg: _gpr_ten_step(cfg, "dist"),
+    "gpr-data-schedules": lambda cfg: _gpr_schedule_ablations(cfg, "data"),
+    "gpr-dist-schedules": lambda cfg: _gpr_schedule_ablations(cfg, "dist"),
+    "gpc-data-cb": _gpc_data_cb,
+    "gpc-dist-10step": _gpc_dist_ten_step,
+    "grid-search": _grid_search,
 }
 
 
 def run_experiment(config: ExperimentConfig) -> dict:
-    """Run one registered experiment; returns the manifest that was written."""
+    """Run one registered experiment, write its tables and manifest.json into
+    config.out_dir, and return the manifest."""
     if config.experiment not in EXPERIMENTS:
         raise ValueError(
             f"unknown experiment {config.experiment!r}; "
             f"known: {', '.join(sorted(EXPERIMENTS))}"
         )
-    return EXPERIMENTS[config.experiment](config)
+    problem, tables, fields = EXPERIMENTS[config.experiment](config)
+    manifest = {
+        "experiment": config.experiment,
+        "seed": config.seed,
+        "dataset": problem.dataset,
+        "files": {key: table.name for key, table in tables.items()},
+        **fields,
+    }
+    if problem.kernel is not None:
+        manifest["kernel"] = problem.kernel
+    # only after the recipe has returned, so a run that fails leaves no directory
+    config.out_dir.mkdir(parents=True, exist_ok=True)
+    for table in tables.values():
+        write_csv(config.out_dir / table.name, table.header, table.columns)
+    with open(config.out_dir / "manifest.json", "w") as handle:
+        json.dump(manifest, handle, indent=1, sort_keys=True)
+    return manifest

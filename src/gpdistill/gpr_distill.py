@@ -141,16 +141,6 @@ def data_centric_targets_fast(
     return decomp.apply_filter(coeff, y)
 
 
-def data_centric_train_cov(decomp: SpectralDecomp, gamma_t: float) -> np.ndarray:
-    """Step-t posterior covariance at the training inputs: K - K (K + gamma_t I)^-1 K.
-
-    Depends on gamma_t only, regardless of how many steps preceded it.
-    """
-    lam = decomp.eigenvalues
-    coeff = lam - lam**2 / (lam + gamma_t)
-    return decomp.apply_filter(coeff, np.eye(decomp.n))
-
-
 def data_centric_predict(
     data: Dataset,
     params: KernelParams,
@@ -221,13 +211,16 @@ def distribution_centric_closed_form(
     schedule: DistillSchedule,
     steps: int,
     test_xs,
+    decomp: SpectralDecomp | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mean and covariance after `steps` steps, via one fit with the pooled noise.
 
-    The whole chain collapses to ordinary GPR with noise 1/gamma_minus.
+    The whole chain collapses to ordinary GPR with noise 1/gamma_minus. A
+    decomposition of the noiseless K may be passed in, as to fit_gpr, so that
+    several step counts share one factorization.
     """
     eff = effective_noise(schedule, steps)
-    model = fit_gpr(data, params, noise=eff.effective)
+    model = fit_gpr(data, params, noise=eff.effective, decomp=decomp)
     return predict_gpr(model, test_xs)
 
 

@@ -66,16 +66,6 @@ class KernelParams:
             raise ValueError(f"jitter must be non-negative and finite, got {jitter}")
 
 
-def rbf_kernel(x1, x2, params: KernelParams) -> float:
-    """Evaluate the RBF kernel between two points."""
-    a = np.asarray(x1, dtype=float).ravel()
-    b = np.asarray(x2, dtype=float).ravel()
-    if a.shape != b.shape:
-        raise ValueError(f"point dimensions differ: {a.shape} vs {b.shape}")
-    sq = float(np.sum((a - b) ** 2))
-    return params.signal_variance * float(np.exp(-sq / (2.0 * params.length_scale)))
-
-
 def kernel_matrix(xs1, xs2, params: KernelParams) -> np.ndarray:
     """Cross kernel matrix k(xs1, xs2^T), shape (N, M). Never includes jitter."""
     a = as_points(xs1)
@@ -118,9 +108,6 @@ class SpectralDecomp:
     @property
     def n(self) -> int:
         return self.eigenvalues.shape[0]
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.T
 
     def apply_filter(self, coeffs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Apply O diag(coeffs) O^T to rhs (vector or matrix)."""

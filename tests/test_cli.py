@@ -154,12 +154,26 @@ class TestExitCodes:
         ("gpr-data-10step", "--n-train", "0"),
         ("gpc-dist-10step", "--steps", "0"),
         ("gpr-dist-10step", "--data", "missing.csv"),
-    ], ids=["grid-noise", "fixed-noise", "n-train", "steps", "missing-data"])
+        ("gpc-data-cb", "--steps", "5"),
+        ("grid-search", "--steps", "3"),
+    ], ids=["grid-noise", "fixed-noise", "n-train", "steps", "missing-data",
+            "gpc-data-cb-steps", "grid-search-steps"])
     def test_reproduce_failure_leaves_no_out_dir(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
         argv = tuple(str(tmp_path / a) if a.endswith(".csv") else a for a in argv)
         assert run("reproduce", *argv, "--out-dir", out) == 1
         assert "error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fixed_design_names_the_steps_flag(self, tmp_path, capsys):
+        assert run("reproduce", "gpc-data-cb", "--steps", "5", "--out-dir", tmp_path / "o") == 1
+        assert "--steps" in capsys.readouterr().err
+
+    def test_reproduce_unknown_target_kind_is_one_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run("reproduce", "gpr-dist-10step", "--target-kind", "bogus", "--sigma-f", "1",
+                   "--length-scale", "1", "--out-dir", out) == 1
+        assert "--target-kind" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_experiment_is_usage_error(self, tmp_path):
@@ -238,6 +252,21 @@ class TestReproduceSteps:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["steps"] == 3
         assert manifest["schedule"] == list(np.linspace(0.1, 1.0, 3))
+
+    @pytest.mark.parametrize("experiment", ["gpr-data-schedules", "gpr-dist-schedules"])
+    def test_steps_sets_every_ablation_length(self, tmp_path, experiment):
+        out = tmp_path / "out"
+        assert run("reproduce", experiment, "--out-dir", out, "--steps", "3",
+                   "--sigma-f", "2", "--length-scale", "1.5") == 0
+        with open(out / "predictions.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 4 * 3 * 200
+        assert {row["step"] for row in rows} == {"1", "2", "3"}
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["steps"] == 3
+        assert {row["schedule"] for row in rows} == set(manifest["schedules"])
+        assert all(len(gammas) == 3 for gammas in manifest["schedules"].values())
+        assert manifest["schedules"]["down-1.0-0.1"] == list(np.linspace(1.0, 0.1, 3))
 
 
 class TestReproduceDeterminism:

@@ -8,13 +8,22 @@ from gpdistill.gpr_distill import (
     data_centric_predict,
     data_centric_targets_fast,
     data_centric_targets_naive,
-    data_centric_train_cov,
     distribution_centric_closed_form,
     distribution_centric_recursive,
     effective_noise,
     fit_replicated,
 )
-from gpdistill.kernels import KernelParams, gram, spectral_decompose
+from gpdistill.kernels import KernelParams, SpectralDecomp, gram, spectral_decompose
+
+
+def data_centric_train_cov(decomp: SpectralDecomp, gamma_t: float) -> np.ndarray:
+    """Step-t posterior covariance at the training inputs: K - K (K + gamma_t I)^-1 K.
+
+    Depends on gamma_t only, regardless of how many steps preceded it.
+    """
+    lam = decomp.eigenvalues
+    coeff = lam - lam**2 / (lam + gamma_t)
+    return decomp.apply_filter(coeff, np.eye(decomp.n))
 
 
 def random_instance(rng, n=None, d=1):

@@ -86,6 +86,41 @@ class TestGpcDistExperiment:
         assert manifest["probability_method"] == "latent_mean"
 
 
+REGRESSION_IDS = ["gpr-data-10step", "gpr-dist-10step", "gpr-data-schedules",
+                  "gpr-dist-schedules"]
+
+
+class TestOneDecompositionPerRun:
+    # counted, not timed: every step of every schedule shares one spectrum of K
+    def decompositions(self, monkeypatch, tmp_path, **config) -> int:
+        import gpdistill.experiments.runner as runner_module
+        import gpdistill.gpr as gpr_module
+        import gpdistill.gpr_distill as distill_module
+        import gpdistill.gridsearch as grid_module
+
+        real_decompose = gpr_module.spectral_decompose
+        calls = []
+
+        def decompose(K):
+            calls.append(K.shape)
+            return real_decompose(K)
+
+        for module in (runner_module, gpr_module, distill_module, grid_module):
+            monkeypatch.setattr(module, "spectral_decompose", decompose)
+        run_experiment(ExperimentConfig(out_dir=tmp_path / "out", seed=0, **config))
+        return len(calls)
+
+    @pytest.mark.parametrize("experiment", REGRESSION_IDS)
+    def test_fixed_hyperparameters(self, monkeypatch, tmp_path, experiment):
+        assert self.decompositions(monkeypatch, tmp_path, experiment=experiment,
+                                   sigma_f=2.0, length_scale=1.5) == 1
+
+    @pytest.mark.parametrize("experiment", REGRESSION_IDS)
+    def test_grid_selected_hyperparameters(self, monkeypatch, tmp_path, experiment):
+        # one per cell of the 10 x 10 search, then the run's own
+        assert self.decompositions(monkeypatch, tmp_path, experiment=experiment) == 101
+
+
 class TestRegistry:
     def test_unknown_experiment_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown experiment"):
