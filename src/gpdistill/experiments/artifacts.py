@@ -3,7 +3,9 @@
 Numeric fields are stored as JSON numbers, whose text form (repr of a Python
 float) round-trips bit-exactly, so a saved-then-loaded model reproduces its
 predictions to the last bit. Each artifact carries a method tag that the
-loader dispatches on.
+loader dispatches on. A regression payload is the posterior's training inputs
+and weights; the noise it was fit with may ride along as provenance, since
+mean prediction never reads it.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..gpr import GprModel, PosteriorGP
+from ..gpr import PosteriorGP
 from ..kernels import KernelParams, as_points, gram, kernel_matrix
 from ..laplace import CurvatureFactor, LaplaceFit, posterior_proba
 
@@ -23,7 +25,7 @@ METHOD_TAGS = ("gpr", "gpr-data", "gpr-dist", "gpc", "gpc-data", "gpc-dist")
 
 # Payload entries each method family needs in order to predict.
 _REQUIRED_KEYS = {
-    "gpr": ("train_xs", "alpha_weights", "noise"),
+    "gpr": ("train_xs", "alpha_weights"),
     "gpc": ("train_xs", "alpha_weights", "w_diag"),
 }
 
@@ -93,7 +95,11 @@ def load_model(path) -> ModelArtifact:
 
 
 def _check_payload(method: str, payload) -> None:
-    """Raise ValueError unless the payload can drive predict_from_artifact."""
+    """Raise ValueError unless the payload can drive predict_from_artifact.
+
+    Optional scalars are checked when present: a regression payload's noise
+    (provenance only) and a classification payload's kernel_scale and diag_shift.
+    """
     if not isinstance(payload, dict):
         raise ValueError(f"payload must be an object, got {type(payload).__name__}")
     required = _REQUIRED_KEYS[method.split("-")[0]]
@@ -125,15 +131,12 @@ def _check_payload(method: str, payload) -> None:
 # ---------------------------------------------------------------------------
 
 
-def artifact_from_gpr(model: GprModel, method: str = "gpr", extra: dict | None = None) -> ModelArtifact:
-    payload = {
-        "train_xs": _listify(model.train_xs),
-        "alpha_weights": _listify(model.alpha_weights),
-        "noise": float(model.noise),
-    }
+def artifact_from_gpr(gp: PosteriorGP, method: str = "gpr", extra: dict | None = None) -> ModelArtifact:
+    """A regression posterior as its inputs and weights; `extra` adds provenance such as noise."""
+    payload = {"train_xs": _listify(gp.train_xs), "alpha_weights": _listify(gp.weights)}
     if extra:
         payload.update(extra)
-    return ModelArtifact(method=method, kernel_params=model.params, payload=payload)
+    return ModelArtifact(method=method, kernel_params=gp.params, payload=payload)
 
 
 def artifact_from_laplace(

@@ -14,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ..gpr import Dataset, fit_gpr
-from ..gpr_distill import DistillSchedule, data_centric_targets_naive, effective_noise
+from ..gpr import fit_gpr
+from ..gpr_distill import DistillSchedule, data_centric_posterior, effective_noise
 from ..gpc_distill import (
     TARGET_KINDS,
     GpcDistillConfig,
@@ -119,8 +119,8 @@ def _cmd_fit(args) -> int:
     params = _kernel_params(args)
     if args.method == "gpr":
         data = load_regression_csv(args.data)
-        model = fit_gpr(data, params, noise=args.noise)
-        artifact = artifact_from_gpr(model)
+        gp = fit_gpr(data, params, noise=args.noise)
+        artifact = artifact_from_gpr(gp, extra={"noise": args.noise})
     else:
         data = load_classification_csv(args.data)
         K = gram(data.xs, params, add_jitter=True)
@@ -146,9 +146,11 @@ def _cmd_predict(args) -> int:
 def _cmd_distill(args) -> int:
     params = _kernel_params(args)
     gammas = parse_values(args.gammas) if args.gammas else None
-    steps = args.steps or (len(gammas) if gammas else None)
+    steps = args.steps if args.steps is not None else (len(gammas) if gammas else None)
     if steps is None:
         raise UsageError("distill needs --steps or --gammas")
+    if steps < 1:
+        raise UsageError(f"--steps must be at least 1, got {steps}")
 
     if args.method in ("gpr-data", "gpr-dist"):
         if gammas is None:
@@ -158,17 +160,14 @@ def _cmd_distill(args) -> int:
         data = load_regression_csv(args.data)
         schedule = DistillSchedule(gammas=gammas, mix_alpha=args.mix_alpha)
         if args.method == "gpr-data":
-            targets = data_centric_targets_naive(data, params, schedule)
-            y_prev = data.ys if steps == 1 else targets[steps - 2]
-            model = fit_gpr(Dataset(data.xs, y_prev), params, noise=schedule.gammas[steps - 1])
-            artifact = artifact_from_gpr(model, method="gpr-data",
-                                         extra={"gammas": list(schedule.gammas), "steps": steps})
+            noise, pooled = schedule.gammas[steps - 1], {}
+            gp = data_centric_posterior(data, params, schedule, step=steps)
         else:
-            eff = effective_noise(schedule, steps)
-            model = fit_gpr(data, params, noise=eff.effective)
-            artifact = artifact_from_gpr(model, method="gpr-dist",
-                                         extra={"gammas": list(schedule.gammas), "steps": steps,
-                                                "effective_noise": eff.effective})
+            noise = effective_noise(schedule, steps).effective
+            pooled = {"effective_noise": noise}
+            gp = fit_gpr(data, params, noise=noise)
+        artifact = artifact_from_gpr(gp, method=args.method, extra={
+            "noise": noise, "gammas": list(schedule.gammas), "steps": steps, **pooled})
     elif args.method == "gpc-data":
         data = load_classification_csv(args.data)
         reg = tuple(parse_values(args.reg_gammas)) if args.reg_gammas else None

@@ -41,7 +41,13 @@ from ..gpc_distill import (
 )
 from ..gridsearch import GridSpec, grid_search
 from ..kernels import KernelParams, SpectralDecomp, gram, spectral_decompose
-from ..laplace import BERNOULLI, BinaryDataset, gpc_predict_proba, laplace_mode
+from ..laplace import (
+    BERNOULLI,
+    CONTINUOUS_BERNOULLI,
+    BinaryDataset,
+    gpc_predict_proba,
+    laplace_mode,
+)
 from .datasets import (
     _write_table,
     classification_latent_truth,
@@ -298,26 +304,28 @@ def _gpc_data_cb(config: ExperimentConfig) -> Run:
     proba_method = config.proba_method or "quadrature"
     reg_gamma = config.noise if config.noise is not None else 0.5
 
-    def two_steps(**kwargs):
-        return data_centric_gpc(data, params, GpcDistillConfig(steps=2, **kwargs))
-
-    step1, step2_cb = two_steps(target_kind=config.target_kind)
+    # one chain fits step 1; every step-2 variant refits on its fit or its targets
+    step1, step2_cb = data_centric_gpc(
+        data, params, GpcDistillConfig(steps=2, target_kind=config.target_kind))
+    K = step1.gram_values
     # misspecified comparison: ordinary Bernoulli refit on the continuous targets
-    fit_b = laplace_mode(step1.predicted, step1.gram_values, likelihood=BERNOULLI)
-    # regularized CB refit
-    step2_cb_reg = two_steps(target_kind=config.target_kind, reg_gammas=(0.0, reg_gamma))[1]
-    # hard-label refits (thresholded at 0.5): Bernoulli is well-specified here
+    fit_b = laplace_mode(step1.predicted, K, likelihood=BERNOULLI)
+    # regularized CB refit: reg_gamma on the diagonal, as the chain's reg_gammas would add
+    K_reg = K + reg_gamma * np.eye(data.n)
+    fit_cb_reg = laplace_mode(step1.predicted, K_reg, likelihood=CONTINUOUS_BERNOULLI)
+    # hard labels: CB on the chain's hard_threshold rule, Bernoulli (well-specified) on p >= 0.5
+    hard_cb = (step1.fit.f_hat >= 0.0).astype(float)
+    fit_hard_cb = laplace_mode(hard_cb, K, likelihood=CONTINUOUS_BERNOULLI)
     hard = (step1.predicted >= 0.5).astype(float)
-    fit_hard_cb = two_steps(target_kind="hard_threshold")[1]
-    fit_hard_b = laplace_mode(hard, step1.gram_values, likelihood=BERNOULLI)
+    fit_hard_b = laplace_mode(hard, K, likelihood=BERNOULLI)
 
     variants = {
-        "step1-bernoulli": (step1.fit, step1.gram_values),
+        "step1-bernoulli": (step1.fit, K),
         "step2-cb": (step2_cb.fit, step2_cb.gram_values),
-        "step2-bernoulli-misspecified": (fit_b, step1.gram_values),
-        "step2-cb-regularized": (step2_cb_reg.fit, step2_cb_reg.gram_values),
-        "step2-cb-hard-labels": (fit_hard_cb.fit, fit_hard_cb.gram_values),
-        "step2-bernoulli-hard-labels": (fit_hard_b, step1.gram_values),
+        "step2-bernoulli-misspecified": (fit_b, K),
+        "step2-cb-regularized": (fit_cb_reg, K_reg),
+        "step2-cb-hard-labels": (fit_hard_cb, K),
+        "step2-bernoulli-hard-labels": (fit_hard_b, K),
     }
     test_xs = _test_points(GPC_CB_TEST_GRID)
     probs = [

@@ -32,7 +32,6 @@ from .laplace import (
     LaplaceFit,
     NewtonDidNotConverge,
     gpc_posterior,
-    laplace_marginal_loglik,
     laplace_mode,
     posterior_proba,
 )
@@ -131,13 +130,6 @@ def data_centric_gpc(
         )
         targets = predicted
     return steps
-
-
-def cb_marginal_loglik(fit: LaplaceFit, K, targets) -> float:
-    """Laplace marginal log-likelihood under the continuous Bernoulli model."""
-    if fit.likelihood != CONTINUOUS_BERNOULLI:
-        raise ValueError(f"expected a continuous Bernoulli fit, got {fit.likelihood!r}")
-    return laplace_marginal_loglik(fit, K, targets)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Ordinary Gaussian process regression: prior, fit, and posterior predictive.
+"""Ordinary Gaussian process regression: fit and posterior predictive.
 
 Every posterior, regression or classification, fit or chain, is a PosteriorGP:
 weights and a square-root factor R of the inner matrix M = R^T R.
@@ -7,7 +7,6 @@ weights and a square-root factor R of the inner matrix M = R^T R.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
@@ -19,12 +18,6 @@ from .kernels import (
     kernel_matrix,
     spectral_decompose,
 )
-
-MeanFn = Callable[[np.ndarray], np.ndarray]
-
-
-def zero_mean(xs: np.ndarray) -> np.ndarray:
-    return np.zeros(len(xs))
 
 
 @dataclass(frozen=True)
@@ -50,63 +43,10 @@ class Dataset:
 
 
 @dataclass(frozen=True)
-class GprModel:
-    """Fitted regression posterior.
-
-    alpha_weights solves (K + noise*I) alpha = y - m(x); the decomposition of
-    the noiseless K is kept so that predictions and any downstream refits reuse
-    the same factorization.
-    """
-
-    train_xs: np.ndarray
-    alpha_weights: np.ndarray
-    params: KernelParams
-    noise: float
-    prior_mean: MeanFn
-    decomp: SpectralDecomp
-
-
-def fit_gpr(
-    data: Dataset,
-    params: KernelParams,
-    noise: float,
-    prior_mean: MeanFn | None = None,
-    decomp: SpectralDecomp | None = None,
-) -> GprModel:
-    """Fit a GP regression model with observation noise `noise`.
-
-    noise = 0 is allowed when the Gram matrix itself is invertible; a singular
-    shifted system raises SingularSystemError. A precomputed decomposition of
-    the (noiseless) Gram matrix may be passed in to skip refactorization.
-    """
-    if not 0 <= noise < np.inf:
-        raise ValueError(f"noise must be non-negative and finite, got {noise}")
-    mean = prior_mean if prior_mean is not None else zero_mean
-    if decomp is None:
-        decomp = spectral_decompose(gram(data.xs, params, add_jitter=False))
-    resid = data.ys - mean(data.xs)
-    alpha = decomp.solve_shifted(resid, noise)
-    return GprModel(
-        train_xs=data.xs,
-        alpha_weights=alpha,
-        params=params,
-        noise=noise,
-        prior_mean=mean,
-        decomp=decomp,
-    )
-
-
-def predict_gpr(model: GprModel, test_xs) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior predictive mean (M,) and covariance (M, M) at test points (see PosteriorGP)."""
-    gp = posterior_gp(model)
-    return gp.mean(test_xs), gp.cov(test_xs)
-
-
-@dataclass(frozen=True)
 class PosteriorGP:
     """A GP conditioned on observations at the fixed inputs X = train_xs.
 
-    mean(a) = m(a) + k(a, X) c and cov(a, b) = k(a, b) - k(a, X) M k(X, b),
+    mean(a) = k(a, X) c and cov(a, b) = k(a, b) - k(a, X) M k(X, b),
     with c = weights (N,) and M = R^T R for the square-root factor R (r <= N, N)
     (GPML eqs. 2.24, 3.24). With H = R k(X, a), cov(a, b) = k(a, b) - H_a^T H_b
     and var(a) = sigma_f^2 minus the column sums of H_a^2, so M is never formed
@@ -114,14 +54,13 @@ class PosteriorGP:
     posterior of a chain that keeps conditioning on X has this form, so the
     record stays the same size however deep the chain is, and evaluating it
     costs the same at every step. Without weights and factor it is the prior
-    GP(m, k). cov(a) and var(a) clamp the diagonal at 0 to absorb roundoff.
+    GP(0, k). cov(a) and var(a) clamp the diagonal at 0 to absorb roundoff.
     """
 
     train_xs: np.ndarray
     params: KernelParams
     weights: np.ndarray | None = None
     factor: np.ndarray | None = None
-    prior_mean: MeanFn = zero_mean
 
     def __post_init__(self):
         pts = as_points(self.train_xs)
@@ -137,7 +76,7 @@ class PosteriorGP:
 
     def mean(self, xs) -> np.ndarray:
         pts = as_points(xs)
-        return self.prior_mean(pts) + kernel_matrix(pts, self.train_xs, self.params) @ self.weights
+        return kernel_matrix(pts, self.train_xs, self.params) @ self.weights
 
     def cov(self, xs1, xs2=None) -> np.ndarray:
         a = as_points(xs1)
@@ -170,11 +109,26 @@ class PosteriorGP:
         return replace(self, weights=weights, factor=np.linalg.qr(stacked, mode="r"))
 
 
-def posterior_gp(model: GprModel) -> PosteriorGP:
-    """A fitted regression model as a PosteriorGP, e.g. to serve as a further prior.
+def fit_gpr(
+    data: Dataset,
+    params: KernelParams,
+    noise: float,
+    decomp: SpectralDecomp | None = None,
+) -> PosteriorGP:
+    """The posterior of GP(0, k) after observing `data` with noise `noise`.
 
-    Its factor comes from the model's spectrum, R = diag(1/sqrt(lambda + noise)) O^T,
-    so R^T R = (K + noise*I)^-1 without a further factorization.
+    Weights c = (K + noise*I)^-1 y and factor R = diag(1/sqrt(lambda + noise)) O^T, both
+    from the spectrum of the noiseless K, which `decomp` may supply. noise = 0 is allowed
+    when K is invertible; a singular shifted system raises SingularSystemError.
     """
-    factor = model.decomp.root_inverse_shifted(model.noise)
-    return PosteriorGP(model.train_xs, model.params, model.alpha_weights, factor, model.prior_mean)
+    if not 0 <= noise < np.inf:
+        raise ValueError(f"noise must be non-negative and finite, got {noise}")
+    if decomp is None:
+        decomp = spectral_decompose(gram(data.xs, params, add_jitter=False))
+    return PosteriorGP(data.xs, params, decomp.solve_shifted(data.ys, noise),
+                       decomp.root_inverse_shifted(noise))
+
+
+def predict_gpr(gp: PosteriorGP, test_xs) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior predictive mean (M,) and covariance (M, M) at test points."""
+    return gp.mean(test_xs), gp.cov(test_xs)

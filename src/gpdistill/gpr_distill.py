@@ -141,19 +141,19 @@ def data_centric_targets_fast(
     return decomp.apply_filter(coeff, y)
 
 
-def data_centric_predict(
+def data_centric_posterior(
     data: Dataset,
     params: KernelParams,
     schedule: DistillSchedule,
-    test_xs,
     step: int | None = None,
     decomp: SpectralDecomp | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior predictive mean and covariance after `step` data-centric steps.
+) -> PosteriorGP:
+    """The posterior after `step` data-centric steps (default: the whole schedule).
 
-    The step-t predictive law is that of an ordinary zero-mean GPR with noise
+    The step-t posterior is that of an ordinary zero-mean GPR with noise
     gamma_t trained on the step t-1 targets, so the covariance does not depend
-    on the earlier schedule entries at all.
+    on the earlier schedule entries at all. The targets come from the spectral
+    fast path, or from the naive iteration when mix_alpha is set.
     """
     if step is None:
         step = len(schedule)
@@ -166,9 +166,19 @@ def data_centric_predict(
     else:
         history = data_centric_targets_naive(data, params, schedule)
         y_prev = data.ys if step == 1 else history[step - 2]
-    gamma_t = schedule.gammas[step - 1]
-    model = fit_gpr(Dataset(data.xs, y_prev), params, noise=gamma_t, decomp=decomp)
-    return predict_gpr(model, test_xs)
+    return fit_gpr(Dataset(data.xs, y_prev), params, noise=schedule.gammas[step - 1], decomp=decomp)
+
+
+def data_centric_predict(
+    data: Dataset,
+    params: KernelParams,
+    schedule: DistillSchedule,
+    test_xs,
+    step: int | None = None,
+    decomp: SpectralDecomp | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior predictive mean and covariance after `step` data-centric steps."""
+    return predict_gpr(data_centric_posterior(data, params, schedule, step, decomp), test_xs)
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +230,7 @@ def distribution_centric_closed_form(
     several step counts share one factorization.
     """
     eff = effective_noise(schedule, steps)
-    model = fit_gpr(data, params, noise=eff.effective, decomp=decomp)
-    return predict_gpr(model, test_xs)
+    return predict_gpr(fit_gpr(data, params, noise=eff.effective, decomp=decomp), test_xs)
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,17 @@ class TestRoundTrip:
         mean, _ = predict_gpr(model, test_xs)
         np.testing.assert_array_equal(before, mean)
 
+    def test_gpr_noise_is_optional_provenance(self, reg_model, tmp_path):
+        # prediction reads only inputs and weights, so files with and without
+        # the noise load and predict the same bits
+        model, _ = reg_model
+        bare = roundtrip(artifact_from_gpr(model), tmp_path, name="bare.json")
+        noted = roundtrip(artifact_from_gpr(model, extra={"noise": 1.0}), tmp_path)
+        assert "noise" not in bare.payload and noted.payload["noise"] == 1.0
+        test_xs = np.linspace(0, 10, 37)
+        np.testing.assert_array_equal(predict_from_artifact(bare, test_xs),
+                                      predict_from_artifact(noted, test_xs))
+
     def test_gpc_bit_exact(self, tmp_path):
         data = gen_classification_toy(1, n=15)
         params = KernelParams(signal_variance=1.0, length_scale=0.8)
@@ -165,7 +176,7 @@ class TestErrors:
 class TestPayloadValidation:
     CORRUPTIONS = {
         "gpr-missing-alpha": ("gpr", lambda p: {k: v for k, v in p.items() if k != "alpha_weights"}),
-        "gpr-missing-noise": ("gpr", lambda p: {k: v for k, v in p.items() if k != "noise"}),
+        "gpr-nan-noise": ("gpr", lambda p: {**p, "noise": np.nan}),
         "gpr-payload-list": ("gpr", lambda p: list(p.values())),
         "gpr-nan-weight": ("gpr", lambda p: {**p, "alpha_weights": [np.nan] + p["alpha_weights"][1:]}),
         "gpr-short-alpha": ("gpr", lambda p: {**p, "alpha_weights": p["alpha_weights"][:-1]}),
@@ -182,7 +193,8 @@ class TestPayloadValidation:
     def saved_doc(kind, tmp_path):
         params = KernelParams(signal_variance=1.0, length_scale=1.0)
         if kind == "gpr":
-            artifact = artifact_from_gpr(fit_gpr(gen_regression_toy(0), params, noise=0.5))
+            artifact = artifact_from_gpr(fit_gpr(gen_regression_toy(0), params, noise=0.5),
+                                         extra={"noise": 0.5})
         else:
             data = gen_classification_toy(0, n=12)
             fit = laplace_mode(data.ys, gram(data.xs, params, add_jitter=True))

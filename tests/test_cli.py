@@ -188,6 +188,22 @@ class TestExitCodes:
         assert code == 1
         assert "exceeds" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("steps", ["0", "-1"])
+    @pytest.mark.parametrize("method", ["gpr-data", "gpr-dist", "gpc-data", "gpc-dist"])
+    def test_distill_steps_below_one_is_one_and_writes_nothing(self, tmp_path, capsys, method,
+                                                               steps):
+        # 0 is a chain length, not "unset": it must not fall back to the gamma count
+        kind = "regression" if method.startswith("gpr") else "classification"
+        data = tmp_path / "data.csv"
+        run("gen-data", "--kind", kind, "--n", "12", "--seed", "0", "--out", data)
+        capsys.readouterr()
+        model = tmp_path / "m.json"
+        gammas = ("--gammas", "0.1,0.2,0.3") if kind == "regression" else ()
+        assert run("distill", "--data", data, "--method", method, "--sigma-f", "1",
+                   "--length-scale", "1", *gammas, f"--steps={steps}", "--save", model) == 1
+        assert "--steps must be at least 1" in capsys.readouterr().err
+        assert not model.exists()
+
     @pytest.mark.parametrize("sigma_f", ["-2", "0", "nan", "inf"])
     @pytest.mark.parametrize("argv", [
         ("fit", "--method", "gpr"),

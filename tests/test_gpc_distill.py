@@ -7,7 +7,6 @@ from gpdistill.cont_bernoulli import cb_terms
 from gpdistill.gpc_distill import (
     GpcDistillConfig,
     approximation_error,
-    cb_marginal_loglik,
     data_centric_gpc,
     distribution_centric_gpc_iterated,
     distribution_centric_gpc_scaled,
@@ -153,20 +152,13 @@ class TestCbReduction:
         manual = float(cont @ f - np.sum(np.logaddexp(0.0, f))) - 0.5 * quad - 0.5 * logdet
         assert got == pytest.approx(manual, abs=1e-10)
 
-    def test_cb_marginal_requires_cb_fit(self, rng):
-        data, params = binary_instance(rng)
-        K = gram(data.xs, params, add_jitter=True)
-        fit = laplace_mode(data.ys, K, likelihood=BERNOULLI)
-        with pytest.raises(ValueError, match="continuous"):
-            cb_marginal_loglik(fit, K, data.ys)
-
     def test_cb_marginal_one_point_quadrature_oracle(self):
         from test_laplace import TestMarginalLoglik
 
         y = 0.7
         K = np.array([[1.0]])
         fit = laplace_mode(np.array([y]), K, likelihood=CONTINUOUS_BERNOULLI)
-        got = cb_marginal_loglik(fit, K, np.array([y]))
+        got = laplace_marginal_loglik(fit, K, np.array([y]))
         oracle = TestMarginalLoglik.quadrature_log_evidence(y, 1.0, CONTINUOUS_BERNOULLI)
         assert got == pytest.approx(oracle, abs=0.05)
 
@@ -286,7 +278,7 @@ class TestDistributionCentric:
 class TestPosteriorEvaluation:
     def test_var_is_clamped_cov_diagonal(self, rng):
         from gpdistill.experiments.datasets import gen_classification_toy
-        from gpdistill.gpr import Dataset, fit_gpr, posterior_gp
+        from gpdistill.gpr import Dataset, fit_gpr
 
         reg = Dataset(rng.uniform(-2, 2, size=(12, 1)), rng.normal(size=12))
         reg_params = KernelParams(signal_variance=1.1, length_scale=0.8)
@@ -294,7 +286,7 @@ class TestPosteriorEvaluation:
         toy = gen_classification_toy(0, n=30)
         toy_params = KernelParams(signal_variance=1.0, length_scale=1.0)
         cases = (
-            (posterior_gp(fit_gpr(reg, reg_params, noise=0.3)), reg.xs),
+            (fit_gpr(reg, reg_params, noise=0.3), reg.xs),
             (distribution_centric_gpc_iterated(data, params, 3)[2].posterior, data.xs),
             (distribution_centric_gpc_scaled(toy, toy_params, 5).posterior, toy.xs),
         )

@@ -6,14 +6,13 @@ from gpdistill.gpr import Dataset, PosteriorGP, fit_gpr, predict_gpr
 from gpdistill.kernels import KernelParams, SingularSystemError, gram, kernel_matrix, spectral_decompose
 
 
-def dense_posterior(data, params, noise, test_xs, prior_mean=None):
+def dense_posterior(data, params, noise, test_xs):
     """Textbook formula with explicit matrix inverse, as an independent oracle."""
-    mean_fn = prior_mean or (lambda xs: np.zeros(len(xs)))
     K = gram(data.xs, params)
     inv = np.linalg.inv(K + noise * np.eye(data.n))
     ks = kernel_matrix(test_xs, data.xs, params)
     kss = kernel_matrix(test_xs, test_xs, params)
-    mu = mean_fn(np.atleast_2d(test_xs).reshape(len(ks), -1)) + ks @ inv @ (data.ys - mean_fn(data.xs))
+    mu = ks @ inv @ data.ys
     cov = kss - ks @ inv @ ks.T
     return mu, cov
 
@@ -23,15 +22,17 @@ class TestFitGpr:
         # K = [[1]], noise 1, y = 2  ->  alpha = (1 + 1)^-1 * 2 = 1
         p = KernelParams(signal_variance=1.0, length_scale=1.0)
         model = fit_gpr(Dataset([[0.0]], [2.0]), p, noise=1.0)
-        np.testing.assert_allclose(model.alpha_weights, [1.0], rtol=1e-14)
+        np.testing.assert_allclose(model.weights, [1.0], rtol=1e-14)
 
     def test_huge_noise_returns_prior_mean(self):
+        # the prior is GP(0, k): the data barely move its mean or covariance
         p = KernelParams(signal_variance=1.0, length_scale=1.0)
-        prior = lambda xs: np.full(len(xs), 3.0)
         data = Dataset(np.linspace(0, 5, 6), np.linspace(-4, 4, 6))
-        model = fit_gpr(data, p, noise=1e12, prior_mean=prior)
-        mean, _ = predict_gpr(model, [[1.3], [4.2]])
-        np.testing.assert_allclose(mean, 3.0, atol=1e-6)
+        model = fit_gpr(data, p, noise=1e12)
+        test_xs = [[1.3], [4.2]]
+        mean, cov = predict_gpr(model, test_xs)
+        np.testing.assert_allclose(mean, 0.0, atol=1e-6)
+        np.testing.assert_allclose(cov, kernel_matrix(test_xs, test_xs, p), atol=1e-6)
 
     def test_alpha_reconstruction_invariant(self, rng):
         p = KernelParams(signal_variance=2.0, length_scale=0.8)
@@ -39,7 +40,7 @@ class TestFitGpr:
         noise = 0.3
         model = fit_gpr(data, p, noise=noise)
         K = gram(data.xs, p)
-        recon = (K + noise * np.eye(10)) @ model.alpha_weights
+        recon = (K + noise * np.eye(10)) @ model.weights
         assert rel_err(recon, data.ys) < 1e-8
 
     def test_noise_zero_on_shifted_gram_identical(self, rng):
@@ -50,7 +51,7 @@ class TestFitGpr:
         K = gram(data.xs, p)
         m1 = fit_gpr(data, p, noise=g)
         m2 = fit_gpr(data, p, noise=0.0, decomp=spectral_decompose(K + g * np.eye(8)))
-        assert rel_err(m1.alpha_weights, m2.alpha_weights) < 1e-12
+        assert rel_err(m1.weights, m2.weights) < 1e-12
 
     def test_singular_system_rejected(self):
         p = KernelParams(signal_variance=1.0, length_scale=1.0, jitter=0.0)
@@ -143,16 +144,17 @@ class TestPredictGpr:
 
 class TestPosteriorGp:
     def test_wraps_fitted_model(self, rng):
-        from gpdistill.gpr import posterior_gp
-
+        # fit_gpr returns the posterior: its factor squares to (K + noise*I)^-1
         p = KernelParams(signal_variance=1.1, length_scale=0.8)
         data = Dataset(rng.uniform(-2, 2, size=(7, 1)), rng.normal(size=7))
-        model = fit_gpr(data, p, noise=0.3)
-        gp = posterior_gp(model)
+        gp = fit_gpr(data, p, noise=0.3)
+        assert isinstance(gp, PosteriorGP)
+        inv = np.linalg.inv(gram(data.xs, p) + 0.3 * np.eye(7))
+        assert rel_err(gp.factor.T @ gp.factor, inv) < 1e-10
         test_xs = rng.uniform(-2, 2, size=(5, 1))
-        mean, cov = predict_gpr(model, test_xs)
-        assert rel_err(gp.mean(test_xs), mean) < 1e-12
-        assert rel_err(gp.cov(test_xs), cov) < 1e-10
+        mean_o, cov_o = dense_posterior(data, p, 0.3, test_xs)
+        assert rel_err(gp.mean(test_xs), mean_o) < 1e-10
+        assert rel_err(gp.cov(test_xs), cov_o) < 1e-10
         assert np.all(gp.var(test_xs) >= 0)
 
     def test_condition_matches_noisy_fit(self, rng):

@@ -5,6 +5,7 @@ from conftest import rel_err
 from gpdistill.gpr import Dataset, fit_gpr, predict_gpr
 from gpdistill.gpr_distill import (
     DistillSchedule,
+    data_centric_posterior,
     data_centric_predict,
     data_centric_targets_fast,
     data_centric_targets_naive,
@@ -257,6 +258,46 @@ class TestDataCentricPredict:
             data_centric_predict(data, params, sched, data.xs, step=0)
         with pytest.raises(ValueError):
             data_centric_predict(data, params, sched, data.xs, step=2)
+
+
+class TestDataCentricPosterior:
+    @staticmethod
+    def naive_refit(data, params, sched, t):
+        """Oracle: an ordinary fit to the naive step t-1 targets, with its own factorization."""
+        y_prev = data.ys if t == 1 else data_centric_targets_naive(data, params, sched)[t - 2]
+        return fit_gpr(Dataset(data.xs, y_prev), params, noise=sched.gammas[t - 1])
+
+    @pytest.mark.parametrize("t", [1, 3, 10])
+    def test_matches_naive_refit(self, t):
+        rng = np.random.default_rng(t)
+        xs = np.linspace(0, 10, 12)
+        data = Dataset(xs, xs * np.sin(xs) + rng.standard_normal(12))
+        params = KernelParams(signal_variance=4.0, length_scale=1.5)
+        sched = DistillSchedule(gammas=tuple(np.linspace(0.1, 1.0, 10)))
+        gp = data_centric_posterior(data, params, sched, step=t)
+        oracle = self.naive_refit(data, params, sched, t)
+        test_xs = np.linspace(-1, 11, 25)
+        assert rel_err(gp.weights, oracle.weights) < 1e-10
+        assert rel_err(gp.mean(test_xs), oracle.mean(test_xs)) < 1e-10
+        assert rel_err(gp.cov(test_xs), oracle.cov(test_xs)) < 1e-10
+
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_mixed_is_the_naive_refit_bit_for_bit(self, rng, t):
+        data, params = random_instance(rng, n=9)
+        sched = DistillSchedule(gammas=(0.2, 0.4, 0.6), mix_alpha=0.5)
+        gp = data_centric_posterior(data, params, sched, step=t)
+        oracle = self.naive_refit(data, params, sched, t)
+        np.testing.assert_array_equal(gp.weights, oracle.weights)
+        np.testing.assert_array_equal(gp.factor, oracle.factor)
+
+    def test_predict_evaluates_the_posterior(self, rng):
+        data, params = random_instance(rng)
+        sched = DistillSchedule(gammas=(0.5, 0.3, 0.8))
+        test_xs = rng.uniform(-3, 3, size=(6, 1))
+        gp = data_centric_posterior(data, params, sched)
+        mean, cov = data_centric_predict(data, params, sched, test_xs)
+        np.testing.assert_array_equal(mean, gp.mean(test_xs))
+        np.testing.assert_array_equal(cov, gp.cov(test_xs))
 
 
 class TestDistributionCentric:

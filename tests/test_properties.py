@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rel_err
-from gpdistill.gpr import Dataset, fit_gpr, posterior_gp, predict_gpr
+from gpdistill.gpr import Dataset, fit_gpr, predict_gpr
 from gpdistill.gridsearch import NUMERICAL_ERRORS
 from gpdistill.kernels import KernelParams, gram, kernel_matrix
 from gpdistill.laplace import BERNOULLI, CONTINUOUS_BERNOULLI, laplace_mode
@@ -79,4 +79,4 @@ def test_regression_fit_matches_dense_solve(problem):
     assert rel_err(mean, mean_o) <= 1e-9
     assert np.max(np.abs(cov - cov_o)) <= 1e-10 * sv
     assert np.all(np.diag(cov) <= sv)
-    assert np.max(np.abs(posterior_gp(model).var(test_xs) - np.diag(cov))) <= 1e-10 * sv
+    assert np.max(np.abs(model.var(test_xs) - np.diag(cov))) <= 1e-10 * sv

@@ -11,6 +11,7 @@ from gpdistill.gpc_distill import (
     distribution_centric_gpc_scaled,
 )
 from gpdistill.kernels import KernelParams
+from gpdistill.laplace import BERNOULLI, CONTINUOUS_BERNOULLI
 from gpdistill.experiments.datasets import gen_regression_toy
 from gpdistill.experiments.runner import EXPERIMENTS, ExperimentConfig, Z975, run_experiment
 
@@ -119,6 +120,27 @@ class TestOneDecompositionPerRun:
     def test_grid_selected_hyperparameters(self, monkeypatch, tmp_path, experiment):
         # one per cell of the 10 x 10 search, then the run's own
         assert self.decompositions(monkeypatch, tmp_path, experiment=experiment) == 101
+
+
+class TestGpcDataCbFits:
+    # counted, not timed: one chain fits step 1, and each step-2 variant is one more fit
+    def test_step_one_fitted_once(self, monkeypatch, tmp_path):
+        import gpdistill.experiments.runner as runner_module
+        import gpdistill.gpc_distill as gpc_module
+
+        real_mode = gpc_module.laplace_mode
+        likelihoods = []
+
+        def mode(*args, **kwargs):
+            likelihoods.append(kwargs["likelihood"])
+            return real_mode(*args, **kwargs)
+
+        for module in (runner_module, gpc_module):
+            monkeypatch.setattr(module, "laplace_mode", mode)
+        run_experiment(ExperimentConfig(experiment="gpc-data-cb", out_dir=tmp_path / "out",
+                                        seed=0, sigma_f=1.0, length_scale=1.0))
+        # step 1 and its three Bernoulli/CB refits, the regularized and hard-label CB fits
+        assert sorted(likelihoods) == sorted([BERNOULLI] * 3 + [CONTINUOUS_BERNOULLI] * 3)
 
 
 class TestRegistry:
