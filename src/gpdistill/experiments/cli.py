@@ -143,18 +143,31 @@ def _cmd_predict(args) -> int:
     return 0
 
 
+# the distill methods that read each method-specific flag; any other method rejects it
+_DISTILL_FLAG_METHODS = {
+    "mix_alpha": ("gpr-data",),
+    "gammas": ("gpr-data", "gpr-dist"),
+    "reg_gammas": ("gpc-data",),
+    "target_kind": ("gpc-data",),
+}
+
+
 def _cmd_distill(args) -> int:
+    for dest, methods in _DISTILL_FLAG_METHODS.items():
+        if getattr(args, dest) is not None and args.method not in methods:
+            flag = "--" + dest.replace("_", "-")
+            raise UsageError(f"{flag} does not apply to --method {args.method}")
     params = _kernel_params(args)
     gammas = parse_values(args.gammas) if args.gammas else None
+    if args.method in ("gpr-data", "gpr-dist") and gammas is None:
+        raise UsageError(f"{args.method} needs --gammas")
     steps = args.steps if args.steps is not None else (len(gammas) if gammas else None)
     if steps is None:
-        raise UsageError("distill needs --steps or --gammas")
+        raise UsageError(f"{args.method} needs --steps")
     if steps < 1:
         raise UsageError(f"--steps must be at least 1, got {steps}")
 
     if args.method in ("gpr-data", "gpr-dist"):
-        if gammas is None:
-            raise UsageError(f"{args.method} needs --gammas")
         if steps > len(gammas):
             raise UsageError(f"--steps {steps} exceeds the {len(gammas)}-entry gamma schedule")
         data = load_regression_csv(args.data)
@@ -171,15 +184,16 @@ def _cmd_distill(args) -> int:
     elif args.method == "gpc-data":
         data = load_classification_csv(args.data)
         reg = tuple(parse_values(args.reg_gammas)) if args.reg_gammas else None
+        target_kind = args.target_kind or "soft_mean"
         chain = data_centric_gpc(
             data, params,
-            GpcDistillConfig(steps=steps, target_kind=args.target_kind, reg_gammas=reg),
+            GpcDistillConfig(steps=steps, target_kind=target_kind, reg_gammas=reg),
         )
         last = chain[-1]
         diag_shift = reg[-1] if reg else 0.0
         artifact = artifact_from_laplace(
             last.fit, params, data.xs, method="gpc-data", diag_shift=diag_shift,
-            extra={"steps": steps, "target_kind": args.target_kind},
+            extra={"steps": steps, "target_kind": target_kind},
         )
     elif args.method == "gpc-dist":
         data = load_classification_csv(args.data)
@@ -297,11 +311,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("gpr-data", "gpr-dist", "gpc-data", "gpc-dist"),
                    required=True)
     _add_kernel_flags(p)
-    p.add_argument("--gammas", default=None, help='comma list or "linspace:a:b:n"')
+    p.add_argument("--gammas", default=None,
+                   help='gpr-* only; comma list or "linspace:a:b:n"')
     p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--mix-alpha", type=float, default=None)
-    p.add_argument("--reg-gammas", default=None)
-    p.add_argument("--target-kind", choices=TARGET_KINDS, default="soft_mean")
+    p.add_argument("--mix-alpha", type=float, default=None, help="gpr-data only")
+    p.add_argument("--reg-gammas", default=None, help="gpc-data only")
+    p.add_argument("--target-kind", choices=TARGET_KINDS, default=None,
+                   help="gpc-data only (default soft_mean)")
     p.add_argument("--save", required=True)
     p.set_defaults(fn=_cmd_distill)
 

@@ -183,8 +183,6 @@ class ScaledGpcFit:
 
     fit: LaplaceFit
     posterior: PosteriorGP
-    gram_values: np.ndarray
-    scale: int
 
 
 def distribution_centric_gpc_scaled(
@@ -201,11 +199,10 @@ def distribution_centric_gpc_scaled(
         raise ValueError(f"t must be >= 1, got {t}")
     scaled = replace(params, signal_variance=t * params.signal_variance)
     K_raw = gram(data.xs, scaled, add_jitter=False)
-    K_fit = K_raw + params.jitter * np.eye(data.n)
-    fit = laplace_mode(data.ys, K_fit, likelihood=BERNOULLI)
+    fit = laplace_mode(data.ys, K_raw + params.jitter * np.eye(data.n), likelihood=BERNOULLI)
     # conditioning the prior once gives c = alpha and M = (K + W^-1)^-1
     posterior = gpc_posterior(fit, K_raw, data.xs, scaled)
-    return ScaledGpcFit(fit=fit, posterior=posterior, gram_values=K_fit, scale=t)
+    return ScaledGpcFit(fit=fit, posterior=posterior)
 
 
 def fit_replicated_gpc(

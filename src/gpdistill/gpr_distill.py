@@ -3,10 +3,10 @@
 Two procedures are implemented side by side:
 
 * data-centric: each step refits a zero-mean GP to the previous step's mean
-  predictions at the training inputs. A naive path iterates literal matrix
-  solves; a spectral fast path reuses one eigendecomposition and reduces every
-  extra step to a diagonal update. Both must agree to high precision, so each
-  serves as the other's oracle.
+  predictions at the training inputs, optionally mixed with the original
+  targets. The spectral fast path reuses one eigendecomposition and reduces
+  every step to a diagonal update; the naive path iterates literal matrix
+  solves and is kept only as its oracle.
 * distribution-centric: each step uses the previous posterior GP as the prior.
   The literal recursion is kept, one conditioning of a fixed-size PosteriorGP
   per step, alongside its closed-form solution, which collapses any number of
@@ -118,15 +118,13 @@ def data_centric_targets_fast(
     schedule: DistillSchedule,
     steps: int | None = None,
 ) -> np.ndarray:
-    """Final distilled targets y_T through the eigenbasis of the noiseless K.
+    """Distilled targets y_steps (default: y_T) through the eigenbasis of the noiseless K.
 
-    Each step contributes a diagonal factor d_i / (d_i + gamma_s); the product
-    over steps is accumulated once and applied to y. steps = 0 means no
-    distillation and returns y unchanged. Mixed targets have no spectral
-    product form, so mix_alpha is rejected here.
+    Every step is a diagonal filter, also with target mixing: from c_0 = 1 the
+    coefficients follow c_s = d / (d + gamma_s) * (alpha + (1 - alpha) c_{s-1}),
+    alpha = 0 when mix_alpha is unset, and are applied to y once. steps = 0
+    means no distillation and returns y unchanged.
     """
-    if schedule.mix_alpha is not None:
-        raise ValueError("the spectral fast path does not support mix_alpha; use the naive path")
     y = np.asarray(y, dtype=float).ravel()
     if steps is None:
         steps = len(schedule)
@@ -135,9 +133,10 @@ def data_centric_targets_fast(
     if steps == 0:
         return y.copy()
     lam = decomp.eigenvalues
+    mix = schedule.mix_alpha or 0.0
     coeff = np.ones_like(lam)
     for gamma_s in schedule.gammas[:steps]:
-        coeff *= lam / (lam + gamma_s)
+        coeff = lam / (lam + gamma_s) * (mix + (1.0 - mix) * coeff)
     return decomp.apply_filter(coeff, y)
 
 
@@ -151,9 +150,10 @@ def data_centric_posterior(
     """The posterior after `step` data-centric steps (default: the whole schedule).
 
     The step-t posterior is that of an ordinary zero-mean GPR with noise
-    gamma_t trained on the step t-1 targets, so the covariance does not depend
-    on the earlier schedule entries at all. The targets come from the spectral
-    fast path, or from the naive iteration when mix_alpha is set.
+    gamma_t trained on alpha*y + (1-alpha)*y_{t-1} (alpha = 0 without mixing),
+    so its mean at the training inputs is y_t and its covariance does not
+    depend on the earlier schedule entries at all. y_{t-1} comes from the
+    spectral fast path on the same decomposition the fit uses.
     """
     if step is None:
         step = len(schedule)
@@ -161,12 +161,10 @@ def data_centric_posterior(
         raise ValueError(f"step must lie in [1, {len(schedule)}], got {step}")
     if decomp is None:
         decomp = spectral_decompose(gram(data.xs, params, add_jitter=False))
-    if schedule.mix_alpha is None:
-        y_prev = data_centric_targets_fast(decomp, data.ys, schedule, steps=step - 1)
-    else:
-        history = data_centric_targets_naive(data, params, schedule)
-        y_prev = data.ys if step == 1 else history[step - 2]
-    return fit_gpr(Dataset(data.xs, y_prev), params, noise=schedule.gammas[step - 1], decomp=decomp)
+    mix = schedule.mix_alpha or 0.0
+    y_prev = data_centric_targets_fast(decomp, data.ys, schedule, steps=step - 1)
+    train = mix * data.ys + (1.0 - mix) * y_prev
+    return fit_gpr(Dataset(data.xs, train), params, noise=schedule.gammas[step - 1], decomp=decomp)
 
 
 def data_centric_predict(

@@ -204,6 +204,28 @@ class TestExitCodes:
         assert "--steps must be at least 1" in capsys.readouterr().err
         assert not model.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ("gpr-dist", "--gammas", "0.5,0.5", "--mix-alpha", "0.5"),
+        ("gpc-dist", "--gammas", "0.1,0.2", "--steps", "2"),
+        ("gpc-data", "--gammas", "0.1,0.2,0.3"),
+        ("gpc-dist", "--steps", "2", "--reg-gammas", "0,0.1"),
+        ("gpr-data", "--gammas", "0.1,0.2", "--target-kind", "soft_mean"),
+    ], ids=["gpr-dist-mix-alpha", "gpc-dist-gammas", "gpc-data-gammas", "gpc-dist-reg-gammas",
+            "gpr-data-target-kind"])
+    def test_distill_inapplicable_flag_is_one_and_writes_nothing(self, tmp_path, capsys, argv):
+        # a flag the method would not read must not be accepted and dropped
+        method, *flags = argv
+        kind = "regression" if method.startswith("gpr") else "classification"
+        data = tmp_path / "data.csv"
+        run("gen-data", "--kind", kind, "--n", "12", "--seed", "0", "--out", data)
+        capsys.readouterr()
+        model = tmp_path / "m.json"
+        assert run("distill", "--data", data, "--method", method, "--sigma-f", "1",
+                   "--length-scale", "1", *flags, "--save", model) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and f"does not apply to --method {method}" in err
+        assert not model.exists()
+
     @pytest.mark.parametrize("sigma_f", ["-2", "0", "nan", "inf"])
     @pytest.mark.parametrize("argv", [
         ("fit", "--method", "gpr"),
