@@ -97,8 +97,9 @@ def load_model(path) -> ModelArtifact:
 def _check_payload(method: str, payload) -> None:
     """Raise ValueError unless the payload can drive predict_from_artifact.
 
-    Optional scalars are checked when present: a regression payload's noise
-    (provenance only) and a classification payload's kernel_scale and diag_shift.
+    Optional scalars are checked when present: a regression payload's noise and
+    mix_alpha (provenance only) and a classification payload's kernel_scale and
+    diag_shift.
     """
     if not isinstance(payload, dict):
         raise ValueError(f"payload must be an object, got {type(payload).__name__}")
@@ -110,7 +111,7 @@ def _check_payload(method: str, payload) -> None:
     vectors = {key: np.asarray(payload[key], dtype=float)
                for key in ("alpha_weights", "w_diag") if key in required}
     scalars = {key: float(payload[key])
-               for key in ("noise", "kernel_scale", "diag_shift") if key in payload}
+               for key in ("noise", "mix_alpha", "kernel_scale", "diag_shift") if key in payload}
     if not all(np.all(np.isfinite(v)) for v in (xs, *vectors.values(), *scalars.values())):
         raise ValueError("payload values must be finite")
     if len(xs) < 1:
@@ -124,6 +125,8 @@ def _check_payload(method: str, payload) -> None:
         raise ValueError("kernel_scale must be positive")
     if scalars.get("diag_shift", 0.0) < 0.0 or scalars.get("noise", 0.0) < 0.0:
         raise ValueError("diag_shift and noise must be non-negative")
+    if not 0.0 < scalars.get("mix_alpha", 0.5) < 1.0:
+        raise ValueError("mix_alpha must lie strictly inside (0, 1)")
 
 
 # ---------------------------------------------------------------------------

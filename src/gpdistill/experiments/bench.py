@@ -71,6 +71,8 @@ def bench_fit_scaling(
     quantiles of t_method / t_single_fit, the baseline re-measured within each
     repetition so drift cancels.
     """
+    if reps < 1:
+        raise ValueError(f"reps must be at least 1, got {reps}")
     for m in methods:
         if m not in BENCH_METHODS:
             raise ValueError(f"unknown bench method {m!r}; known: {BENCH_METHODS}")

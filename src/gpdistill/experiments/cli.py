@@ -23,7 +23,7 @@ from ..gpc_distill import (
     distribution_centric_gpc_scaled,
 )
 from ..gridsearch import DEFAULT_GRID_AXIS, NUMERICAL_ERRORS, GridSpec, grid_search
-from ..kernels import KernelParams, gram
+from ..kernels import KernelParams, gram, signal_variance_of
 from ..laplace import BERNOULLI, CONTINUOUS_BERNOULLI, laplace_mode
 from .artifacts import (
     ArtifactError,
@@ -79,11 +79,9 @@ def parse_values(text: str) -> tuple[float, ...]:
 
 
 def _kernel_params(args) -> KernelParams:
-    # KernelParams sees only the square, which hides the sign
-    if not 0 < args.sigma_f < np.inf:
-        raise ValueError(f"--sigma-f must be positive and finite, got {args.sigma_f}")
+    # KernelParams sees only the square, which hides the sign and can overflow
     return KernelParams(
-        signal_variance=args.sigma_f**2,
+        signal_variance=signal_variance_of(args.sigma_f, "--sigma-f"),
         length_scale=args.length_scale,
         jitter=args.jitter,
     )
@@ -173,14 +171,16 @@ def _cmd_distill(args) -> int:
         data = load_regression_csv(args.data)
         schedule = DistillSchedule(gammas=gammas, mix_alpha=args.mix_alpha)
         if args.method == "gpr-data":
-            noise, pooled = schedule.gammas[steps - 1], {}
+            noise = schedule.gammas[steps - 1]
+            # the mixing weight shaped the weights, so a mixed model records it
+            provenance = {} if schedule.mix_alpha is None else {"mix_alpha": schedule.mix_alpha}
             gp = data_centric_posterior(data, params, schedule, step=steps)
         else:
             noise = effective_noise(schedule, steps).effective
-            pooled = {"effective_noise": noise}
+            provenance = {"effective_noise": noise}
             gp = fit_gpr(data, params, noise=noise)
         artifact = artifact_from_gpr(gp, method=args.method, extra={
-            "noise": noise, "gammas": list(schedule.gammas), "steps": steps, **pooled})
+            "noise": noise, "gammas": list(schedule.gammas), "steps": steps, **provenance})
     elif args.method == "gpc-data":
         data = load_classification_csv(args.data)
         reg = tuple(parse_values(args.reg_gammas)) if args.reg_gammas else None
@@ -210,14 +210,28 @@ def _cmd_distill(args) -> int:
     return 0
 
 
+# the flag behind each GridSpec axis, so a rejected axis is reported by the name the user typed
+_GRID_FLAGS = {"sigma_f_values": "--sigma-f-grid", "length_scale_values": "--length-scale-grid",
+               "noise_values": "--noise-grid"}
+
+
 def _cmd_grid_search(args) -> int:
-    spec = GridSpec(
-        sigma_f_values=parse_values(args.sigma_f_grid) if args.sigma_f_grid else DEFAULT_GRID_AXIS,
-        length_scale_values=(
-            parse_values(args.length_scale_grid) if args.length_scale_grid else DEFAULT_GRID_AXIS
-        ),
-        noise_values=parse_values(args.noise_grid) if args.noise_grid else None,
-    )
+    try:
+        spec = GridSpec(
+            sigma_f_values=(
+                parse_values(args.sigma_f_grid) if args.sigma_f_grid else DEFAULT_GRID_AXIS
+            ),
+            length_scale_values=(
+                parse_values(args.length_scale_grid) if args.length_scale_grid
+                else DEFAULT_GRID_AXIS
+            ),
+            noise_values=parse_values(args.noise_grid) if args.noise_grid else None,
+        )
+    except ValueError as exc:
+        message = str(exc)
+        for field, flag in _GRID_FLAGS.items():
+            message = message.replace(field, flag)
+        raise UsageError(message) from None
     objective = {"gpr": "gpr_nll", "gpc-bernoulli": "gpc_bernoulli_nll",
                  "gpc-cb": "gpc_cb_nll"}[args.objective]
     noise = args.noise

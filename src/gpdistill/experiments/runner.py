@@ -40,7 +40,7 @@ from ..gpc_distill import (
     posterior_proba,
 )
 from ..gridsearch import GridSpec, grid_search
-from ..kernels import KernelParams, SpectralDecomp, gram, spectral_decompose
+from ..kernels import KernelParams, SpectralDecomp, gram, signal_variance_of, spectral_decompose
 from ..laplace import (
     BERNOULLI,
     CONTINUOUS_BERNOULLI,
@@ -87,10 +87,10 @@ class ExperimentConfig:
 
     def __post_init__(self):
         self.out_dir = Path(self.out_dir)
-        for name in ("sigma_f", "length_scale"):
-            value = getattr(self, name)
-            if value is not None and not 0 < value < np.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if self.sigma_f is not None:
+            signal_variance_of(self.sigma_f, "sigma_f")
+        if self.length_scale is not None and not 0 < self.length_scale < np.inf:
+            raise ValueError(f"length_scale must be positive and finite, got {self.length_scale}")
         if self.noise is not None and not 0 <= self.noise < np.inf:
             raise ValueError(f"noise must be non-negative and finite, got {self.noise}")
         if self.steps is not None and self.steps < 1:

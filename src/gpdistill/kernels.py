@@ -1,8 +1,10 @@
 """RBF kernel evaluation, Gram assembly, and symmetric spectral decomposition.
 
-Kernel matrices are assembled from one scipy `cdist` "sqeuclidean" pass,
-finished in place (scale, exp, multiply by the signal variance), so no
-(M, N, d) difference array is ever built. For d <= 7 the result is bit for bit
+Kernel matrices are assembled from one scipy `cdist` "sqeuclidean" pass
+(`squared_distances`), finished in place by `finish_kernel` (scale, exp,
+multiply by the signal variance), so no (M, N, d) difference array is ever
+built. A hyperparameter sweep computes the distances once and finishes a copy
+per setting (`gram_from_distances`). For d <= 7 the result is bit for bit
 the broadcast formula sum((a - b)**2); from d = 8 numpy's pairwise summation
 can differ from it by one ulp in the squared distance.
 
@@ -66,16 +68,49 @@ class KernelParams:
             raise ValueError(f"jitter must be non-negative and finite, got {jitter}")
 
 
-def kernel_matrix(xs1, xs2, params: KernelParams) -> np.ndarray:
-    """Cross kernel matrix k(xs1, xs2^T), shape (N, M). Never includes jitter."""
+def signal_variance_of(sigma_f: float, name: str) -> float:
+    """sigma_f**2, or a ValueError naming `name` unless sigma_f is positive and finite
+    and its square is a positive finite float (1e200 overflows, 1e-300 underflows)."""
+    if not 0 < sigma_f < np.inf:
+        raise ValueError(f"{name} must be positive and finite, got {sigma_f}")
+    try:
+        variance = sigma_f**2
+    except OverflowError:
+        variance = np.inf
+    if not 0 < variance < np.inf:
+        raise ValueError(f"{name} must square to a positive finite float, got {sigma_f}")
+    return variance
+
+
+def squared_distances(xs1, xs2) -> np.ndarray:
+    """Pairwise squared Euclidean distances ||a - b||^2, shape (N, M)."""
     a = as_points(xs1)
     b = as_points(xs2)
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"point dimensions differ: {a.shape[1]} vs {b.shape[1]}")
-    values = cdist(a, b, "sqeuclidean")
-    np.divide(values, -2.0 * params.length_scale, out=values)
+    return cdist(a, b, "sqeuclidean")
+
+
+def finish_kernel(sq_dists: np.ndarray, params: KernelParams, out=None) -> np.ndarray:
+    """RBF values from squared distances: scale, exp, then multiply by the signal variance.
+
+    Writes into `out` when given (which may be `sq_dists` itself), else into a
+    new array, so a distance matrix shared across hyperparameters stays intact.
+    """
+    values = np.divide(sq_dists, -2.0 * params.length_scale, out=out)
     np.exp(values, out=values)
     values *= params.signal_variance
+    return values
+
+
+def kernel_matrix(xs1, xs2, params: KernelParams) -> np.ndarray:
+    """Cross kernel matrix k(xs1, xs2^T), shape (N, M). Never includes jitter."""
+    values = squared_distances(xs1, xs2)
+    return finish_kernel(values, params, out=values)
+
+
+def _set_gram_diagonal(values: np.ndarray, params: KernelParams, add_jitter: bool) -> np.ndarray:
+    np.fill_diagonal(values, params.signal_variance + (params.jitter if add_jitter else 0.0))
     return values
 
 
@@ -88,10 +123,23 @@ def gram(xs, params: KernelParams, add_jitter: bool = False) -> np.ndarray:
     pts = as_points(xs)
     if len(pts) < 1:
         raise ValueError("gram requires at least one input point")
-    values = kernel_matrix(pts, pts, params)
-    diag = params.signal_variance + (params.jitter if add_jitter else 0.0)
-    np.fill_diagonal(values, diag)
-    return values
+    return _set_gram_diagonal(kernel_matrix(pts, pts, params), params, add_jitter)
+
+
+def gram_from_distances(sq_dists: np.ndarray, params: KernelParams,
+                        add_jitter: bool = False) -> np.ndarray:
+    """`gram` of a point set from its squared_distances(xs, xs), bit for bit; sq_dists is kept."""
+    return _set_gram_diagonal(finish_kernel(sq_dists, params), params, add_jitter)
+
+
+def shift_spectrum(eigenvalues: np.ndarray, shift: float) -> np.ndarray:
+    """Eigenvalues of K + shift*I from those of K; raises SingularSystemError unless all are positive."""
+    shifted = eigenvalues + shift
+    if np.min(shifted) <= 0.0:
+        raise SingularSystemError(
+            f"K + {shift}*I is singular (smallest shifted eigenvalue {np.min(shifted):g})"
+        )
+    return shifted
 
 
 @dataclass(frozen=True)
@@ -116,25 +164,16 @@ class SpectralDecomp:
             return self.eigenvectors @ (coeffs * proj)
         return self.eigenvectors @ (coeffs[:, None] * proj)
 
-    def _shifted(self, shift: float) -> np.ndarray:
-        """Eigenvalues of K + shift*I; raises SingularSystemError unless all are positive."""
-        shifted = self.eigenvalues + shift
-        if np.min(shifted) <= 0.0:
-            raise SingularSystemError(
-                f"K + {shift}*I is singular (smallest shifted eigenvalue {np.min(shifted):g})"
-            )
-        return shifted
-
     def solve_shifted(self, rhs: np.ndarray, shift: float) -> np.ndarray:
         """Solve (K + shift*I) x = rhs through the eigenbasis."""
-        return self.apply_filter(1.0 / self._shifted(shift), rhs)
+        return self.apply_filter(1.0 / shift_spectrum(self.eigenvalues, shift), rhs)
 
     def logdet_shifted(self, shift: float) -> float:
-        return float(np.sum(np.log(self._shifted(shift))))
+        return float(np.sum(np.log(shift_spectrum(self.eigenvalues, shift))))
 
     def root_inverse_shifted(self, shift: float) -> np.ndarray:
         """R = diag(1/sqrt(lambda + shift)) O^T, so that R^T R = (K + shift*I)^-1."""
-        return self.eigenvectors.T / np.sqrt(self._shifted(shift))[:, None]
+        return self.eigenvectors.T / np.sqrt(shift_spectrum(self.eigenvalues, shift))[:, None]
 
 
 def spectral_decompose(K) -> SpectralDecomp:

@@ -182,6 +182,8 @@ class TestPayloadValidation:
         "gpr-short-alpha": ("gpr", lambda p: {**p, "alpha_weights": p["alpha_weights"][:-1]}),
         "gpr-inf-input": ("gpr", lambda p: {**p, "train_xs": [[np.inf]] + p["train_xs"][1:]}),
         "gpr-text-weights": ("gpr", lambda p: {**p, "alpha_weights": "abc"}),
+        "gpr-nan-mix-alpha": ("gpr", lambda p: {**p, "mix_alpha": np.nan}),
+        "gpr-mix-alpha-one": ("gpr", lambda p: {**p, "mix_alpha": 1.0}),
         "gpc-missing-w": ("gpc", lambda p: {k: v for k, v in p.items() if k != "w_diag"}),
         "gpc-short-w": ("gpc", lambda p: {**p, "w_diag": p["w_diag"][:-1]}),
         "gpc-negative-w": ("gpc", lambda p: {**p, "w_diag": [-0.5] + p["w_diag"][1:]}),

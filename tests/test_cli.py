@@ -72,6 +72,24 @@ class TestPipelines:
         doc = json.loads(model.read_text())
         assert doc["method"] == "gpr-data"
 
+    def test_mixed_gpr_data_model_records_its_mix_alpha(self, tmp_path):
+        from gpdistill.experiments.artifacts import load_model
+
+        reg = tmp_path / "reg.csv"
+        run("gen-data", "--kind", "regression", "--n", "10", "--seed", "0", "--out", reg)
+        payloads = {}
+        for mix in (None, "0.25"):
+            model = tmp_path / f"model-{mix}.json"
+            extra = ("--mix-alpha", mix) if mix else ()
+            assert run("distill", "--data", reg, "--method", "gpr-data", "--sigma-f", "2",
+                       "--length-scale", "1.5", "--gammas", "0.2,0.4,0.6", *extra,
+                       "--save", model) == 0
+            payloads[mix] = load_model(model).payload
+        assert payloads["0.25"]["mix_alpha"] == 0.25
+        assert "mix_alpha" not in payloads[None]
+        # the mixing weight is what tells the two models apart
+        assert payloads["0.25"]["alpha_weights"] != payloads[None]["alpha_weights"]
+
     def test_gpr_dist_chain(self, tmp_path):
         reg = tmp_path / "reg.csv"
         model = tmp_path / "model.json"
@@ -106,6 +124,37 @@ class TestPipelines:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("value", ["1e200", "1e-300"])
+    def test_grid_sigma_f_square_out_of_range_names_the_flag(self, tmp_path, capsys, value):
+        reg = tmp_path / "reg.csv"
+        run("gen-data", "--kind", "regression", "--n", "12", "--seed", "0", "--out", reg)
+        capsys.readouterr()
+        out = tmp_path / "grid.csv"
+        assert run("grid-search", "--data", reg, "--objective", "gpr", "--noise", "0.1",
+                   "--sigma-f-grid", f"1,{value}", "--length-scale-grid", "1",
+                   "--out", out) == 1
+        assert "--sigma-f-grid must square to a positive finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["1e200", "1e-300"])
+    def test_sigma_f_square_out_of_range_is_one(self, tmp_path, capsys, value):
+        reg = tmp_path / "reg.csv"
+        run("gen-data", "--kind", "regression", "--n", "12", "--seed", "0", "--out", reg)
+        capsys.readouterr()
+        model = tmp_path / "m.json"
+        assert run("fit", "--data", reg, "--method", "gpr", "--sigma-f", value,
+                   "--length-scale", "1", "--save", model) == 1
+        assert "--sigma-f must square to a positive finite" in capsys.readouterr().err
+        assert not model.exists()
+
+    @pytest.mark.parametrize("reps", ["0", "-1"])
+    def test_bench_without_repetitions_is_one(self, tmp_path, capsys, reps):
+        out = tmp_path / "timing.csv"
+        assert run("bench", "--steps", "1,2", "--reps", reps, "--n-train", "20",
+                   "--methods", "gpr-dist", "--out", out) == 1
+        assert "reps must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_usage_error_is_one(self, capsys):
         assert run("fit", "--method", "nonsense") == 1
         assert "usage error" in capsys.readouterr().err
@@ -156,8 +205,9 @@ class TestExitCodes:
         ("gpr-dist-10step", "--data", "missing.csv"),
         ("gpc-data-cb", "--steps", "5"),
         ("grid-search", "--steps", "3"),
+        ("gpr-dist-10step", "--sigma-f", "1e200", "--length-scale", "1"),
     ], ids=["grid-noise", "fixed-noise", "n-train", "steps", "missing-data",
-            "gpc-data-cb-steps", "grid-search-steps"])
+            "gpc-data-cb-steps", "grid-search-steps", "sigma-f-overflow"])
     def test_reproduce_failure_leaves_no_out_dir(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
         argv = tuple(str(tmp_path / a) if a.endswith(".csv") else a for a in argv)

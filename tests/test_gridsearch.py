@@ -5,9 +5,21 @@ import pytest
 from scipy.stats import multivariate_normal
 
 from gpdistill.gpr import Dataset
-from gpdistill.gridsearch import NUMERICAL_ERRORS, GridSpec, gpr_marginal_nll, grid_search
+from gpdistill.gridsearch import (
+    DEFAULT_GRID_AXIS,
+    NUMERICAL_ERRORS,
+    GridSpec,
+    gpr_marginal_nll,
+    grid_search,
+)
 from gpdistill.kernels import KernelParams, gram
-from gpdistill.laplace import BinaryDataset
+from gpdistill.laplace import (
+    BERNOULLI,
+    CONTINUOUS_BERNOULLI,
+    BinaryDataset,
+    laplace_marginal_loglik,
+    laplace_mode,
+)
 
 
 def regression_data(rng, n=12):
@@ -24,6 +36,12 @@ class TestGridSpec:
             GridSpec(sigma_f_values=(1.0,), length_scale_values=(0.0,))
         with pytest.raises(ValueError):
             GridSpec(sigma_f_values=(1.0,), length_scale_values=(1.0,), noise_values=(-1.0,))
+
+    @pytest.mark.parametrize("sigma_f", [1e200, 1e-300])
+    def test_sigma_f_whose_square_leaves_the_floats_rejected(self, sigma_f):
+        # 1e200**2 overflows and 1e-300**2 underflows to 0.0; every cell squares sigma_f
+        with pytest.raises(ValueError, match="sigma_f_values must square to a positive finite"):
+            GridSpec(sigma_f_values=(1.0, sigma_f), length_scale_values=(1.0,))
 
 
 class TestGridSearch:
@@ -119,7 +137,7 @@ class TestGridSearch:
         def explode(*args, **kwargs):
             raise np.linalg.LinAlgError("boom")
 
-        monkeypatch.setattr("gpdistill.gridsearch.gpr_marginal_nll", explode)
+        monkeypatch.setattr("gpdistill.gridsearch._unit_spectrum", explode)
         with pytest.raises(RuntimeError, match="every grid cell"):
             grid_search(
                 data,
@@ -134,7 +152,7 @@ class TestGridSearch:
         def explode(*args, **kwargs):
             raise boom
 
-        monkeypatch.setattr("gpdistill.gridsearch.gpr_marginal_nll", explode)
+        monkeypatch.setattr("gpdistill.gridsearch._unit_spectrum", explode)
         spec = GridSpec(sigma_f_values=(1.0, 2.0), length_scale_values=(1.0,))
         with pytest.raises(NUMERICAL_ERRORS, match="boom") as info:
             grid_search(data, spec, objective="gpr_nll")
@@ -147,7 +165,7 @@ class TestGridSearch:
         def broken(*args, **kwargs):
             raise TypeError("a bug, not a numerical failure")
 
-        monkeypatch.setattr("gpdistill.gridsearch._cell_nll", broken)
+        monkeypatch.setattr("gpdistill.gridsearch._unit_spectrum", broken)
         spec = GridSpec(sigma_f_values=(1.0,), length_scale_values=(1.0, 2.0))
         with pytest.raises(TypeError, match="a bug"):
             grid_search(data, spec, objective="gpr_nll", fixed_noise=0.1)
@@ -156,14 +174,14 @@ class TestGridSearch:
         import gpdistill.gridsearch as gs
 
         data = regression_data(rng)
-        real = gs.gpr_marginal_nll
+        real = gs._unit_spectrum
 
-        def flaky(data, params, noise):
-            if params.length_scale < 0.5:
+        def flaky(data, sq_dists, length_scale):
+            if length_scale < 0.5:
                 raise np.linalg.LinAlgError("boom")
-            return real(data, params, noise)
+            return real(data, sq_dists, length_scale)
 
-        monkeypatch.setattr(gs, "gpr_marginal_nll", flaky)
+        monkeypatch.setattr(gs, "_unit_spectrum", flaky)
         spec = GridSpec(sigma_f_values=(1.0,), length_scale_values=(0.1, 1.0))
         result = gs.grid_search(data, spec, objective="gpr_nll", fixed_noise=0.2)
         assert math.isinf(next(c.nll for c in result.cells if c.length_scale == 0.1))
@@ -176,3 +194,143 @@ class TestGridSearch:
             grid_search(data, spec, objective="elbo")
         with pytest.raises(ValueError, match="BinaryDataset"):
             grid_search(data, spec, objective="gpc_cb_nll")
+
+
+def slogdet_cholesky_nll(xs, ys, sigma_f, length_scale, noise) -> float:
+    """Independent NLL oracle: broadcast kernel, Cholesky solve for the quadratic
+    form, slogdet for the log-determinant."""
+    pts = np.asarray(xs, dtype=float).reshape(len(ys), -1)
+    sq = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
+    cov = sigma_f**2 * np.exp(-sq / (2.0 * length_scale)) + noise * np.eye(len(ys))
+    half = np.linalg.solve(np.linalg.cholesky(cov), ys)
+    sign, logdet = np.linalg.slogdet(cov)
+    assert sign > 0
+    return 0.5 * (float(half @ half) + logdet + len(ys) * math.log(2.0 * math.pi))
+
+
+def grid_decompositions(monkeypatch) -> list:
+    import gpdistill.gridsearch as gs
+
+    real = gs.spectral_decompose
+    calls = []
+
+    def decompose(K):
+        calls.append(K.shape)
+        return real(K)
+
+    monkeypatch.setattr(gs, "spectral_decompose", decompose)
+    return calls
+
+
+class TestSharedSpectrum:
+    def test_every_gpr_cell_matches_cholesky_oracle(self):
+        from gpdistill.experiments.datasets import gen_regression_toy
+
+        # the default 16 x 16 axes include the sigma_f = length_scale = 100 corner,
+        # where K is nearly rank one and roundoff is largest
+        data = gen_regression_toy(0, n=60)
+        spec = GridSpec(sigma_f_values=DEFAULT_GRID_AXIS, length_scale_values=DEFAULT_GRID_AXIS)
+        result = grid_search(data, spec, objective="gpr_nll", fixed_noise=1.0)
+        assert len(result.cells) == 256
+        got = np.array([c.nll for c in result.cells])
+        oracle = np.array([slogdet_cholesky_nll(data.xs, data.ys, c.sigma_f, c.length_scale,
+                                                c.noise) for c in result.cells])
+        rel = np.abs(got - oracle) / np.abs(oracle)
+        worst = result.cells[int(np.argmax(rel))]
+        assert rel.max() < 1e-8, (rel.max(), worst)
+        assert result.best_nll == got.min()
+
+    def test_gpr_marginal_nll_is_the_one_cell_sweep(self, rng):
+        data = regression_data(rng, n=15)
+        spec = GridSpec(sigma_f_values=(0.5, 2.0), length_scale_values=(0.3, 1.0, 3.0),
+                        noise_values=(0.05, 0.4))
+        for cell in grid_search(data, spec, objective="gpr_nll").cells:
+            params = KernelParams(signal_variance=cell.sigma_f**2, length_scale=cell.length_scale)
+            assert gpr_marginal_nll(data, params, cell.noise) == cell.nll
+
+    @pytest.mark.parametrize("objective, likelihood", [
+        ("gpc_bernoulli_nll", BERNOULLI),
+        ("gpc_cb_nll", CONTINUOUS_BERNOULLI),
+    ])
+    def test_every_gpc_cell_is_bit_identical_to_a_per_cell_fit(self, objective, likelihood):
+        from scipy.special import expit
+
+        from gpdistill.experiments.datasets import (
+            classification_latent_truth,
+            gen_classification_toy,
+        )
+
+        toy = gen_classification_toy(0, n=25)
+        ys = toy.ys if objective == "gpc_bernoulli_nll" else expit(
+            classification_latent_truth(toy.xs.ravel()))
+        data = BinaryDataset(toy.xs, ys)
+        spec = GridSpec(sigma_f_values=DEFAULT_GRID_AXIS[::5], length_scale_values=(0.1, 1.0, 10.0),
+                        noise_values=(1e-3, 0.5))
+        result = grid_search(data, spec, objective=objective)
+        for cell in result.cells:
+            params = KernelParams(signal_variance=cell.sigma_f**2, length_scale=cell.length_scale)
+            K = gram(data.xs, params, add_jitter=True) + cell.noise * np.eye(len(ys))
+            try:
+                fit = laplace_mode(data.ys, K, likelihood=likelihood)
+                expected = -laplace_marginal_loglik(fit, K, data.ys)
+            except NUMERICAL_ERRORS:
+                expected = math.inf
+            assert cell.nll == expected, cell
+
+    def test_one_decomposition_per_length_scale(self, rng, monkeypatch):
+        calls = grid_decompositions(monkeypatch)
+        data = regression_data(rng, n=20)
+        spec = GridSpec(sigma_f_values=(0.3, 1.0, 3.0), length_scale_values=(0.1, 0.5, 1.0, 2.0, 8.0),
+                        noise_values=(0.1, 0.2))
+        assert len(grid_search(data, spec, objective="gpr_nll").cells) == 3 * 5 * 2
+        assert calls == [(20, 20)] * 5
+
+    def test_classification_sweeps_decompose_nothing(self, monkeypatch):
+        from gpdistill.experiments.datasets import gen_classification_toy
+
+        calls = grid_decompositions(monkeypatch)
+        spec = GridSpec(sigma_f_values=(0.5, 2.0), length_scale_values=(0.5, 2.0))
+        grid_search(gen_classification_toy(0, n=15), spec, objective="gpc_bernoulli_nll")
+        assert calls == []
+
+
+class TestCellFailures:
+    def test_finite_cells_record_no_failure(self, rng):
+        data = regression_data(rng)
+        spec = GridSpec(sigma_f_values=(0.5, 1.0), length_scale_values=(0.3, 1.0))
+        cells = grid_search(data, spec, objective="gpr_nll", fixed_noise=0.1).cells
+        assert all(math.isfinite(c.nll) and c.failure == "" for c in cells)
+
+    def test_singular_cells_name_their_error(self):
+        # zero noise on 100 inputs 0.1 apart: at length scale 1e-3 K is close to
+        # sigma_f^2 I, at 10 its spectrum falls to roundoff and K + 0*I is singular
+        xs = np.linspace(0.0, 10.0, 100)[:, None]
+        data = Dataset(xs, np.sin(xs.ravel()))
+        spec = GridSpec(sigma_f_values=(0.5, 2.0), length_scale_values=(1e-3, 10.0))
+        cells = grid_search(data, spec, objective="gpr_nll", fixed_noise=0.0).cells
+        for cell in cells:
+            if cell.length_scale == 1e-3:
+                assert math.isfinite(cell.nll) and cell.failure == ""
+            else:
+                assert math.isinf(cell.nll)
+                assert cell.failure.startswith("SingularSystemError: K + 0.0*I is singular")
+
+    def test_failed_decomposition_fails_its_whole_column(self, rng, monkeypatch):
+        import gpdistill.gridsearch as gs
+
+        data = regression_data(rng)
+        real = gs._unit_spectrum
+
+        def flaky(data, sq_dists, length_scale):
+            if length_scale < 0.5:
+                raise np.linalg.LinAlgError("boom")
+            return real(data, sq_dists, length_scale)
+
+        monkeypatch.setattr(gs, "_unit_spectrum", flaky)
+        spec = GridSpec(sigma_f_values=(0.5, 1.0, 2.0), length_scale_values=(0.1, 1.0),
+                        noise_values=(0.1, 0.3))
+        cells = gs.grid_search(data, spec, objective="gpr_nll").cells
+        failed = [c for c in cells if c.length_scale == 0.1]
+        assert len(failed) == 3 * 2
+        assert all(math.isinf(c.nll) and c.failure == "LinAlgError: boom" for c in failed)
+        assert all(math.isfinite(c.nll) and c.failure == "" for c in cells if c.length_scale == 1.0)

@@ -9,8 +9,11 @@ from gpdistill.kernels import (
     SingularSystemError,
     gram,
     SpectralDecomp,
+    gram_from_distances,
     kernel_matrix,
+    signal_variance_of,
     spectral_decompose,
+    squared_distances,
 )
 
 
@@ -248,3 +251,29 @@ class TestCdistAssembly:
             for p in PARAM_GRID:
                 K = gram(pts, p)
                 assert np.array_equal(K, K.T)
+
+    @pytest.mark.parametrize("add_jitter", [False, True])
+    def test_gram_from_shared_distances_is_bit_identical(self, rng, add_jitter):
+        pts = rng.normal(scale=2.0, size=(25, 3))
+        sq = squared_distances(pts, pts)
+        kept = sq.copy()
+        for p in PARAM_GRID:
+            assert np.array_equal(gram_from_distances(sq, p, add_jitter), gram(pts, p, add_jitter))
+        # a sweep reuses the distances for every setting, so finishing must not consume them
+        assert np.array_equal(sq, kept)
+
+
+class TestSignalVarianceOf:
+    def test_square(self):
+        assert signal_variance_of(1.5, "sigma_f") == 1.5**2
+
+    @pytest.mark.parametrize("sigma_f, reason", [
+        (-2.0, "be positive and finite"),
+        (math.nan, "be positive and finite"),
+        (math.inf, "be positive and finite"),
+        (1e200, "square to a positive finite float"),
+        (1e-300, "square to a positive finite float"),
+    ])
+    def test_rejects_by_name(self, sigma_f, reason):
+        with pytest.raises(ValueError, match=f"--flag must {reason}"):
+            signal_variance_of(sigma_f, "--flag")

@@ -118,8 +118,8 @@ class TestOneDecompositionPerRun:
 
     @pytest.mark.parametrize("experiment", REGRESSION_IDS)
     def test_grid_selected_hyperparameters(self, monkeypatch, tmp_path, experiment):
-        # one per cell of the 10 x 10 search, then the run's own
-        assert self.decompositions(monkeypatch, tmp_path, experiment=experiment) == 101
+        # one per length scale of the 10 x 10 search, then the run's own
+        assert self.decompositions(monkeypatch, tmp_path, experiment=experiment) == 11
 
 
 class TestGpcDataCbFits:
