@@ -122,7 +122,9 @@ class _UnitSpectrum:
 
     def nll(self, signal_variance: float, noise: float) -> float:
         """0.5 * (y^T (s K_1 + noise I)^-1 y + log det(s K_1 + noise I) + N log 2 pi)."""
-        shifted = shift_spectrum(signal_variance * self.eigenvalues, noise)
+        with np.errstate(over="ignore"):  # an overflowing scale makes a non-finite cell
+            scaled = signal_variance * self.eigenvalues
+        shifted = shift_spectrum(scaled, noise)
         quad = float(np.sum(self.proj_sq / shifted))
         logdet = float(np.sum(np.log(shifted)))
         return 0.5 * (quad + logdet + len(shifted) * math.log(2.0 * math.pi))

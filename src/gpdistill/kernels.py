@@ -133,7 +133,7 @@ def gram_from_distances(sq_dists: np.ndarray, params: KernelParams,
 
 
 def shift_spectrum(eigenvalues: np.ndarray, shift: float) -> np.ndarray:
-    """Eigenvalues of K + shift*I from those of K; raises SingularSystemError unless all are positive."""
+    """Eigenvalues of K + shift*I from those of K; SingularSystemError unless all are positive."""
     shifted = eigenvalues + shift
     if np.min(shifted) <= 0.0:
         raise SingularSystemError(

@@ -264,10 +264,12 @@ class TestSharedSpectrum:
         ys = toy.ys if objective == "gpc_bernoulli_nll" else expit(
             classification_latent_truth(toy.xs.ravel()))
         data = BinaryDataset(toy.xs, ys)
-        spec = GridSpec(sigma_f_values=DEFAULT_GRID_AXIS[::5], length_scale_values=(0.1, 1.0, 10.0),
-                        noise_values=(1e-3, 0.5))
-        result = grid_search(data, spec, objective=objective)
-        for cell in result.cells:
+        cells = []
+        for noise_values in (None, (1e-3, 0.5)):  # the fixed zero noise, then a noise axis
+            spec = GridSpec(sigma_f_values=DEFAULT_GRID_AXIS[::5],
+                            length_scale_values=(0.1, 1.0, 10.0), noise_values=noise_values)
+            cells += grid_search(data, spec, objective=objective).cells
+        for cell in cells:
             params = KernelParams(signal_variance=cell.sigma_f**2, length_scale=cell.length_scale)
             K = gram(data.xs, params, add_jitter=True) + cell.noise * np.eye(len(ys))
             try:
@@ -280,8 +282,8 @@ class TestSharedSpectrum:
     def test_one_decomposition_per_length_scale(self, rng, monkeypatch):
         calls = grid_decompositions(monkeypatch)
         data = regression_data(rng, n=20)
-        spec = GridSpec(sigma_f_values=(0.3, 1.0, 3.0), length_scale_values=(0.1, 0.5, 1.0, 2.0, 8.0),
-                        noise_values=(0.1, 0.2))
+        spec = GridSpec(sigma_f_values=(0.3, 1.0, 3.0),
+                        length_scale_values=(0.1, 0.5, 1.0, 2.0, 8.0), noise_values=(0.1, 0.2))
         assert len(grid_search(data, spec, objective="gpr_nll").cells) == 3 * 5 * 2
         assert calls == [(20, 20)] * 5
 
@@ -300,6 +302,18 @@ class TestCellFailures:
         spec = GridSpec(sigma_f_values=(0.5, 1.0), length_scale_values=(0.3, 1.0))
         cells = grid_search(data, spec, objective="gpr_nll", fixed_noise=0.1).cells
         assert all(math.isfinite(c.nll) and c.failure == "" for c in cells)
+
+    def test_overflowing_scale_is_a_non_finite_cell_without_warning(self, rng):
+        # sigma_f^2 = 1e308 is a valid signal variance, but times K_1's top eigenvalue it overflows
+        import warnings
+
+        data = regression_data(rng)
+        spec = GridSpec(sigma_f_values=(1.0, 1e154), length_scale_values=(1.0,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cells = grid_search(data, spec, objective="gpr_nll", fixed_noise=0.5).cells
+        assert math.isfinite(cells[0].nll) and cells[0].failure == ""
+        assert math.isinf(cells[1].nll) and cells[1].failure == "non-finite objective inf"
 
     def test_singular_cells_name_their_error(self):
         # zero noise on 100 inputs 0.1 apart: at length scale 1e-3 K is close to
