@@ -168,9 +168,6 @@ class SpectralDecomp:
         """Solve (K + shift*I) x = rhs through the eigenbasis."""
         return self.apply_filter(1.0 / shift_spectrum(self.eigenvalues, shift), rhs)
 
-    def logdet_shifted(self, shift: float) -> float:
-        return float(np.sum(np.log(shift_spectrum(self.eigenvalues, shift))))
-
     def root_inverse_shifted(self, shift: float) -> np.ndarray:
         """R = diag(1/sqrt(lambda + shift)) O^T, so that R^T R = (K + shift*I)^-1."""
         return self.eigenvectors.T / np.sqrt(shift_spectrum(self.eigenvalues, shift))[:, None]
