@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..gpr import PosteriorGP
-from ..kernels import KernelParams, as_points, gram, kernel_matrix
+from ..kernels import KernelParams, as_points, gram
 from ..laplace import CurvatureFactor, LaplaceFit, posterior_proba
 
 FORMAT_VERSION = 1
@@ -173,8 +173,8 @@ def artifact_from_laplace(
 def predict_from_artifact(artifact: ModelArtifact, test_xs) -> np.ndarray:
     """Deterministic predictions from a stored model.
 
-    Regression methods return a mean vector; classification methods return
-    quadrature class-1 probabilities of the stored fit as a PosteriorGP. The
+    The stored model is rebuilt as a PosteriorGP: regression methods return its
+    mean, classification methods its quadrature class-1 probabilities. The
     Gram pieces are rebuilt from the stored inputs with the library's own
     assembly, so a loaded model predicts bit for bit what it did before saving.
     """
@@ -184,17 +184,14 @@ def predict_from_artifact(artifact: ModelArtifact, test_xs) -> np.ndarray:
     pts = as_points(test_xs)
     alpha = np.asarray(payload["alpha_weights"], dtype=float)
 
-    if artifact.method in ("gpr", "gpr-data", "gpr-dist"):
-        return kernel_matrix(pts, train_xs, params) @ alpha
+    if artifact.method.startswith("gpr"):
+        return PosteriorGP(train_xs, params, alpha).mean(pts)
 
-    if artifact.method in ("gpc", "gpc-data", "gpc-dist"):
-        scale = float(payload.get("kernel_scale", 1.0))
-        scaled = replace(params, signal_variance=scale * params.signal_variance)
-        # the Gram the stored fit ran on: scaled kernel, jitter and diag_shift
-        K = gram(train_xs, scaled, add_jitter=True)
-        K[np.diag_indices_from(K)] += float(payload.get("diag_shift", 0.0))
-        w = np.asarray(payload["w_diag"], dtype=float)
-        gp = PosteriorGP(train_xs, scaled, alpha, CurvatureFactor(K, w).half)
-        return posterior_proba(gp, pts, "quadrature")
-
-    raise ArtifactError(f"no predictor for method {artifact.method!r}")
+    scale = float(payload.get("kernel_scale", 1.0))
+    scaled = replace(params, signal_variance=scale * params.signal_variance)
+    # the Gram the stored fit ran on: scaled kernel, jitter and diag_shift
+    K = gram(train_xs, scaled, add_jitter=True)
+    K[np.diag_indices_from(K)] += float(payload.get("diag_shift", 0.0))
+    w = np.asarray(payload["w_diag"], dtype=float)
+    gp = PosteriorGP(train_xs, scaled, alpha, CurvatureFactor(K, w).half)
+    return posterior_proba(gp, pts, "quadrature")

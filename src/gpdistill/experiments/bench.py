@@ -32,6 +32,9 @@ from ..laplace import BinaryDataset, laplace_mode
 
 BENCH_METHODS = ("gpr-data-naive", "gpr-data-fast", "gpr-dist", "gpc-data", "gpc-dist")
 
+# Every step's gamma in the regression schedules, and the noise of their baseline fit.
+GAMMA = 0.5
+
 
 @dataclass(frozen=True)
 class BenchCell:
@@ -63,7 +66,6 @@ def bench_fit_scaling(
     n_train: int = 120,
     seed: int = 0,
     methods: tuple[str, ...] = BENCH_METHODS,
-    gamma: float = 0.5,
 ) -> list[BenchCell]:
     """Measure relative fit time per (method, step count) over `reps` repetitions.
 
@@ -80,7 +82,7 @@ def bench_fit_scaling(
     params = KernelParams(signal_variance=1.0, length_scale=1.0)
 
     def run_method(method: str, t: int):
-        schedule = DistillSchedule(gammas=(gamma,) * t)
+        schedule = DistillSchedule(gammas=(GAMMA,) * t)
         if method == "gpr-data-naive":
             data_centric_targets_naive(reg_data, params, schedule)
         elif method == "gpr-data-fast":
@@ -96,7 +98,7 @@ def bench_fit_scaling(
 
     def run_baseline(method: str):
         if method.startswith("gpr"):
-            fit_gpr(reg_data, params, noise=gamma)
+            fit_gpr(reg_data, params, noise=GAMMA)
         else:
             K = gram(cls_data.xs, params, add_jitter=True)
             laplace_mode(cls_data.ys, K)

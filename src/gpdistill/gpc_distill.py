@@ -98,12 +98,11 @@ def _step_predictions(
 
 
 def data_centric_gpc(
-    data: BinaryDataset, params: KernelParams, config: GpcDistillConfig, **newton_kwargs
+    data: BinaryDataset, params: KernelParams, config: GpcDistillConfig
 ) -> list[DataCentricGpcStep]:
     """Run a data-centric GPC chain; step 1 is ordinary Bernoulli, the rest CB.
 
     Raises with the failing step identified if Newton does not converge.
-    Extra keyword arguments are forwarded to the mode finder.
     """
     if not data.strictly_binary:
         raise ValueError("data-centric GPC distillation starts from strictly binary targets")
@@ -117,7 +116,7 @@ def data_centric_gpc(
             K_t[np.diag_indices_from(K_t)] += config.reg_gammas[t - 1]
         likelihood = BERNOULLI if t == 1 else CONTINUOUS_BERNOULLI
         try:
-            fit = laplace_mode(targets, K_t, likelihood=likelihood, **newton_kwargs)
+            fit = laplace_mode(targets, K_t, likelihood=likelihood)
         except NewtonDidNotConverge as exc:
             raise NewtonDidNotConverge(
                 f"step {t} of {config.steps} failed: {exc}", grad_norm=exc.grad_norm
@@ -139,7 +138,10 @@ def data_centric_gpc(
 
 @dataclass(frozen=True)
 class GpcDistillStep:
-    """One distribution-centric step: the Laplace fit and the resulting posterior GP."""
+    """A distribution-centric posterior: the Laplace fit and the posterior GP it gives.
+
+    Each step of the iterated chain is one, and so is the scaled fit.
+    """
 
     fit: LaplaceFit
     posterior: PosteriorGP
@@ -177,17 +179,9 @@ def distribution_centric_gpc_iterated(
     return out
 
 
-@dataclass(frozen=True)
-class ScaledGpcFit:
-    """Single fit whose prior covariance is the kernel scaled by the step count."""
-
-    fit: LaplaceFit
-    posterior: PosteriorGP
-
-
 def distribution_centric_gpc_scaled(
     data: BinaryDataset, params: KernelParams, t: int
-) -> ScaledGpcFit:
+) -> GpcDistillStep:
     """One Laplace fit under the prior GP(0, t*k).
 
     Exactly equivalent to fitting t stacked copies of the data, and an
@@ -202,14 +196,13 @@ def distribution_centric_gpc_scaled(
     fit = laplace_mode(data.ys, K_raw + params.jitter * np.eye(data.n), likelihood=BERNOULLI)
     # conditioning the prior once gives c = alpha and M = (K + W^-1)^-1
     posterior = gpc_posterior(fit, K_raw, data.xs, scaled)
-    return ScaledGpcFit(fit=fit, posterior=posterior)
+    return GpcDistillStep(fit=fit, posterior=posterior)
 
 
 def fit_replicated_gpc(
     data: BinaryDataset,
     params: KernelParams,
     replications: int,
-    row_cap: int = REPLICATION_ROW_CAP,
 ) -> LaplaceFit:
     """Brute-force Laplace fit to t literal copies of the dataset (test oracle).
 
@@ -219,9 +212,10 @@ def fit_replicated_gpc(
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications}")
     n = data.n
-    if replications * n > row_cap:
+    if replications * n > REPLICATION_ROW_CAP:
         raise ValueError(
-            f"replicated system has {replications * n} rows, exceeding the cap of {row_cap}"
+            f"replicated system has {replications * n} rows, "
+            f"exceeding the cap of {REPLICATION_ROW_CAP}"
         )
     K_raw = gram(data.xs, params, add_jitter=False)
     big_K = np.tile(K_raw, (replications, replications))
@@ -232,7 +226,7 @@ def fit_replicated_gpc(
 
 def approximation_error(
     iterated: list[GpcDistillStep],
-    scaled: list[ScaledGpcFit],
+    scaled: list[GpcDistillStep],
     test_xs,
     method: str = "quadrature",
 ) -> np.ndarray:

@@ -257,7 +257,6 @@ def fit_replicated(
     noise: float,
     replications: int,
     test_xs=None,
-    row_cap: int = REPLICATION_ROW_CAP,
 ) -> ReplicatedGprFit:
     """Fit a GP to t literal copies of the dataset by solving the tN x tN system.
 
@@ -266,9 +265,10 @@ def fit_replicated(
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications}")
     n = data.n
-    if replications * n > row_cap:
+    if replications * n > REPLICATION_ROW_CAP:
         raise ValueError(
-            f"replicated system has {replications * n} rows, exceeding the cap of {row_cap}"
+            f"replicated system has {replications * n} rows, "
+            f"exceeding the cap of {REPLICATION_ROW_CAP}"
         )
     K = gram(data.xs, params, add_jitter=False)
     big_K = np.tile(K, (replications, replications))

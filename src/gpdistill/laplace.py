@@ -57,11 +57,10 @@ class HessianNotPositiveDefinite(RuntimeError):
 
 @dataclass(frozen=True)
 class BinaryDataset:
-    """Inputs with targets in [0, 1]; strictly_binary records whether all are 0/1."""
+    """Inputs with targets in [0, 1]."""
 
     xs: np.ndarray
     ys: np.ndarray
-    strictly_binary: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "xs", as_points(self.xs))
@@ -75,11 +74,15 @@ class BinaryDataset:
             raise ValueError("inputs and targets must be finite")
         if np.any(ys < 0.0) or np.any(ys > 1.0):
             raise ValueError("classification targets must lie in [0, 1]")
-        object.__setattr__(self, "strictly_binary", bool(np.all((ys == 0.0) | (ys == 1.0))))
 
     @property
     def n(self) -> int:
         return len(self.ys)
+
+    @property
+    def strictly_binary(self) -> bool:
+        """Whether every target is exactly 0 or 1."""
+        return bool(np.all((self.ys == 0.0) | (self.ys == 1.0)))
 
 
 @dataclass(frozen=True)
@@ -96,13 +99,11 @@ class LaplaceFit:
     f_hat: np.ndarray
     w_diag: np.ndarray
     iterations: int
-    converged: bool
     likelihood: str
     prior_mean_at_train: np.ndarray
     alpha_weights: np.ndarray
     grad_norm: float
     psi_path: tuple[float, ...]
-    f_path: tuple[np.ndarray, ...] | None = None
 
 
 def _log1pexp(f: np.ndarray) -> np.ndarray:
@@ -126,18 +127,17 @@ def _loglik_parts(f: np.ndarray, y: np.ndarray, likelihood: str):
 
 
 def laplace_mode(
-    data,
+    ys,
     K,
     prior_mean: np.ndarray | None = None,
     likelihood: str = BERNOULLI,
     max_iters: int = DEFAULT_MAX_ITERS,
     step_tol: float = STEP_TOL,
     grad_tol: float = GRAD_TOL,
-    record_path: bool = False,
 ) -> LaplaceFit:
     """Find the posterior mode by damped Newton-Raphson (GPML Alg. 3.1 with a prior mean).
 
-    `data` may be a BinaryDataset or a bare target vector; `K` is the prior
+    `ys` is the target vector; `K` is the prior
     covariance at the inputs. The iteration carries alpha with f = K alpha + m,
     so K is never inverted and need not be positive definite (a duplicated
     input without jitter is fine). Each iteration builds one CurvatureFactor(K, w) and moves
@@ -150,7 +150,7 @@ def laplace_mode(
     halved (up to MAX_HALVINGS); the likelihoods here are log-concave, so that
     only guards against overshoot and numerical curvature loss.
     """
-    y = np.asarray(data.ys if isinstance(data, BinaryDataset) else data, dtype=float).ravel()
+    y = np.asarray(ys, dtype=float).ravel()
     K_values = np.asarray(K, dtype=float)
     m = np.zeros(len(y)) if prior_mean is None else np.asarray(prior_mean, dtype=float).ravel()
 
@@ -158,7 +158,6 @@ def laplace_mode(
     f = m.copy()
     psi_cur, grad_ll, curv = _loglik_parts(f, y, likelihood)  # alpha = 0: psi = log p
     psi_path = [psi_cur]
-    f_path = [f.copy()] if record_path else None
     converged = False
     iterations = 0
 
@@ -188,8 +187,6 @@ def laplace_mode(
         alpha, f, grad_ll, curv = alpha_new, f_new, grad_new, curv_new
         psi_cur = psi_new
         psi_path.append(psi_cur)
-        if record_path:
-            f_path.append(f.copy())
         if f_moved < step_tol:
             converged = True
             break
@@ -206,13 +203,11 @@ def laplace_mode(
         f_hat=f,
         w_diag=curv,
         iterations=iterations,
-        converged=converged,
         likelihood=likelihood,
         prior_mean_at_train=m,
         alpha_weights=alpha,
         grad_norm=grad_norm,
         psi_path=tuple(psi_path),
-        f_path=tuple(f_path) if record_path else None,
     )
 
 
@@ -259,7 +254,7 @@ class CurvatureFactor:
 
 
 def gpc_posterior(fit: LaplaceFit, K, train_xs, params: KernelParams) -> PosteriorGP:
-    """The latent posterior of a converged fit as a PosteriorGP (GPML eqs. 3.21, 3.24).
+    """The latent posterior of a fit as a PosteriorGP (GPML eqs. 3.21, 3.24).
 
     Its weights are alpha and its factor is the curvature factor's half, whose
     R^T R is (K + W^-1)^-1, so mean(a) = k(a, X) alpha and
@@ -267,8 +262,6 @@ def gpc_posterior(fit: LaplaceFit, K, train_xs, params: KernelParams) -> Posteri
     K is the matrix the curvature is paired with (usually the one the fit ran
     on); params give the kernel between test and training points.
     """
-    if not fit.converged:
-        raise ValueError("predictions require a converged fit")
     return PosteriorGP(train_xs, params, fit.alpha_weights, CurvatureFactor(K, fit.w_diag).half)
 
 
@@ -321,16 +314,14 @@ def gpc_predict_proba(
     return posterior_proba(gpc_posterior(fit, K, train_xs, params), test_xs, method)
 
 
-def laplace_marginal_loglik(fit: LaplaceFit, K, data) -> float:
+def laplace_marginal_loglik(fit: LaplaceFit, K, ys) -> float:
     """Laplace approximation of the marginal log-likelihood log p(y).
 
     Equals psi(f_hat) + (N/2) log 2pi - (1/2) log|H| with H the negative
     Hessian of the log posterior at the mode; the Gaussian normalizers combine
     into a single log|I + K W| term taken from the curvature factor.
     """
-    if not fit.converged:
-        raise ValueError("the marginal log-likelihood requires a converged fit")
-    y = np.asarray(data.ys if isinstance(data, BinaryDataset) else data, dtype=float).ravel()
+    y = np.asarray(ys, dtype=float).ravel()
     value, _, _ = _loglik_parts(fit.f_hat, y, fit.likelihood)
     diff = fit.f_hat - fit.prior_mean_at_train
     quad = float(fit.alpha_weights @ diff)  # alpha = K^-1 (f_hat - m) at the mode

