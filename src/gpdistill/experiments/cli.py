@@ -95,12 +95,18 @@ def _add_kernel_flags(parser, required: bool = True):
 
 
 def _points_from_args(args) -> np.ndarray:
-    if args.points:
+    if args.points is not None:
         return np.asarray(parse_values(args.points), dtype=float)
-    if args.data:
-        # only the inputs matter here; the regression reader accepts any targets
-        return load_regression_csv(args.data).xs
-    raise UsageError("predict needs --points or --data")
+    # only the inputs matter here; the regression reader accepts any targets
+    return load_regression_csv(args.data).xs
+
+
+def _reject_inapplicable(args, flag_methods: dict) -> None:
+    """A method-specific flag set for a --method that would not read it is a usage error."""
+    for dest, methods in flag_methods.items():
+        if getattr(args, dest) is not None and args.method not in methods:
+            flag = "--" + dest.replace("_", "-")
+            raise UsageError(f"{flag} does not apply to --method {args.method}")
 
 
 def _cmd_gen_data(args) -> int:
@@ -113,16 +119,22 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
+# the fit methods that read each method-specific flag; the other method rejects it
+_FIT_FLAG_METHODS = {"noise": ("gpr",), "likelihood": ("gpc",)}
+
+
 def _cmd_fit(args) -> int:
+    _reject_inapplicable(args, _FIT_FLAG_METHODS)
     params = _kernel_params(args)
     if args.method == "gpr":
+        noise = 0.1 if args.noise is None else args.noise
         data = load_regression_csv(args.data)
-        gp = fit_gpr(data, params, noise=args.noise)
-        artifact = artifact_from_gpr(gp, extra={"noise": args.noise})
+        gp = fit_gpr(data, params, noise=noise)
+        artifact = artifact_from_gpr(gp, extra={"noise": noise})
     else:
         data = load_classification_csv(args.data)
         K = gram(data.xs, params, add_jitter=True)
-        likelihood = BERNOULLI if args.likelihood == "bernoulli" else CONTINUOUS_BERNOULLI
+        likelihood = BERNOULLI if args.likelihood in (None, "bernoulli") else CONTINUOUS_BERNOULLI
         fit = laplace_mode(data.ys, K, likelihood=likelihood)
         artifact = artifact_from_laplace(fit, params, data.xs, method="gpc")
     save_model(artifact, args.save)
@@ -151,10 +163,7 @@ _DISTILL_FLAG_METHODS = {
 
 
 def _cmd_distill(args) -> int:
-    for dest, methods in _DISTILL_FLAG_METHODS.items():
-        if getattr(args, dest) is not None and args.method not in methods:
-            flag = "--" + dest.replace("_", "-")
-            raise UsageError(f"{flag} does not apply to --method {args.method}")
+    _reject_inapplicable(args, _DISTILL_FLAG_METHODS)
     params = _kernel_params(args)
     gammas = parse_values(args.gammas) if args.gammas else None
     if args.method in ("gpr-data", "gpr-dist") and gammas is None:
@@ -307,16 +316,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--method", choices=("gpr", "gpc"), required=True)
     _add_kernel_flags(p)
-    p.add_argument("--noise", type=float, default=0.1)
+    p.add_argument("--noise", type=float, default=None, help="gpr only (default 0.1)")
     p.add_argument("--likelihood", choices=("bernoulli", "continuous-bernoulli"),
-                   default="bernoulli")
+                   default=None, help="gpc only (default bernoulli)")
     p.add_argument("--save", required=True)
     p.set_defaults(fn=_cmd_fit)
 
     p = sub.add_parser("predict", help="predict from a saved model")
     p.add_argument("--model", required=True)
-    p.add_argument("--data", default=None, help="CSV whose inputs to predict at")
-    p.add_argument("--points", default=None, help="e.g. linspace:0:10:100")
+    where = p.add_mutually_exclusive_group(required=True)
+    where.add_argument("--data", default=None, help="CSV whose inputs to predict at")
+    where.add_argument("--points", default=None, help="e.g. linspace:0:10:100")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_predict)
 
@@ -342,10 +352,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="defaults to 16 log-spaced values over [1e-2, 1e2]")
     p.add_argument("--length-scale-grid", default=None,
                    help="defaults to 16 log-spaced values over [1e-2, 1e2]")
-    p.add_argument("--noise-grid", default=None)
-    p.add_argument("--noise", type=float, default=None,
-                   help="fixed noise when no noise grid; the gpr objective needs one of the "
-                        "two, the gpc objectives default to 0")
+    noise = p.add_mutually_exclusive_group()
+    noise.add_argument("--noise-grid", default=None)
+    noise.add_argument("--noise", type=float, default=None,
+                       help="fixed noise when no noise grid; the gpr objective needs one of the "
+                            "two, the gpc objectives default to 0")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_grid_search)
 
@@ -360,7 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma-f", type=float, default=None)
     p.add_argument("--length-scale", type=float, default=None)
     p.add_argument("--noise", type=float, default=None)
-    p.add_argument("--target-kind", choices=TARGET_KINDS, default="soft_mean")
+    p.add_argument("--target-kind", choices=TARGET_KINDS, default=None,
+                   help="gpc-data-cb only (default soft_mean)")
     p.add_argument("--proba-method", choices=("quadrature", "latent_mean"),
                    default=None, help="default is experiment-specific and recorded")
     p.add_argument("--data", default=None)

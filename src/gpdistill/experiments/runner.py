@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import expit
@@ -77,11 +77,12 @@ class ExperimentConfig:
     out_dir: Path
     seed: int = 0
     n_train: int | None = None
+    # run_experiment rejects any of these six that is set but not in its recipe's reads
     steps: int | None = None  # DEFAULT_STEPS for the chains; fixed designs reject it
     sigma_f: float | None = None
     length_scale: float | None = None
     noise: float | None = None
-    target_kind: str = "soft_mean"
+    target_kind: str | None = None  # soft_mean when unset
     proba_method: str | None = None  # per-experiment default when unset
     dataset_csv: str | None = None
 
@@ -139,11 +140,6 @@ def _test_points(grid: dict) -> np.ndarray:
 
 def _chain_steps(config: ExperimentConfig) -> int:
     return DEFAULT_STEPS if config.steps is None else config.steps
-
-
-def _reject_steps(config: ExperimentConfig) -> None:
-    if config.steps is not None:
-        raise ValueError(f"{config.experiment} has a fixed design; --steps does not apply")
 
 
 def _load_or_generate(config: ExperimentConfig, load, generate, n_default: int, about: dict):
@@ -299,15 +295,15 @@ def _gpr_schedule_ablations(config: ExperimentConfig, method: str) -> Run:
 
 
 def _gpc_data_cb(config: ExperimentConfig) -> Run:
-    _reject_steps(config)
     problem = _classification_problem(config)
     data, params = problem.data, problem.params
+    target_kind = config.target_kind or "soft_mean"
     proba_method = config.proba_method or "quadrature"
     reg_gamma = config.noise if config.noise is not None else 0.5
 
     # one chain fits step 1; every step-2 variant refits on its fit or its targets
     step1, step2_cb = data_centric_gpc(
-        data, params, GpcDistillConfig(steps=2, target_kind=config.target_kind))
+        data, params, GpcDistillConfig(steps=2, target_kind=target_kind))
     K = step1.gram_values
     # misspecified comparison: ordinary Bernoulli refit on the continuous targets
     fit_b = laplace_mode(step1.predicted, K, likelihood=BERNOULLI)
@@ -336,7 +332,7 @@ def _gpc_data_cb(config: ExperimentConfig) -> Run:
     columns = [*_keyed_blocks(list(variants), test_xs), np.concatenate(probs)]
     table = Table("predictions.csv", ["variant", "x", "probability"], columns)
     return Run(problem, {"predictions": table}, {
-        "target_kind": config.target_kind,
+        "target_kind": target_kind,
         "probability_method": proba_method,
         "regularizer_gamma": reg_gamma,
         "variants": sorted(variants),
@@ -373,7 +369,6 @@ def _gpc_dist_ten_step(config: ExperimentConfig) -> Run:
 
 
 def _grid_search(config: ExperimentConfig) -> Run:
-    _reject_steps(config)
     data, source = _classification_data(config)
     # The grids are swept on the continuous truth sigma(g(x)) at the sampled
     # inputs: that is the setting where the continuous likelihood is
@@ -399,15 +394,37 @@ def _grid_search(config: ExperimentConfig) -> Run:
                {"sigma_f_axis": list(axis_sf), "length_scale_axis": list(axis_l), "minima": minima})
 
 
+class Recipe(NamedTuple):
+    run: Callable[[ExperimentConfig], Run]
+    reads: tuple[str, ...]  # the optional ExperimentConfig fields that `run` reads
+
+
+_GPR_READS = ("steps", "sigma_f", "length_scale", "noise")
+
 EXPERIMENTS = {
-    "gpr-data-10step": lambda cfg: _gpr_ten_step(cfg, "data"),
-    "gpr-dist-10step": lambda cfg: _gpr_ten_step(cfg, "dist"),
-    "gpr-data-schedules": lambda cfg: _gpr_schedule_ablations(cfg, "data"),
-    "gpr-dist-schedules": lambda cfg: _gpr_schedule_ablations(cfg, "dist"),
-    "gpc-data-cb": _gpc_data_cb,
-    "gpc-dist-10step": _gpc_dist_ten_step,
-    "grid-search": _grid_search,
+    "gpr-data-10step": Recipe(lambda cfg: _gpr_ten_step(cfg, "data"), _GPR_READS),
+    "gpr-dist-10step": Recipe(lambda cfg: _gpr_ten_step(cfg, "dist"), _GPR_READS),
+    "gpr-data-schedules": Recipe(lambda cfg: _gpr_schedule_ablations(cfg, "data"), _GPR_READS),
+    "gpr-dist-schedules": Recipe(lambda cfg: _gpr_schedule_ablations(cfg, "dist"), _GPR_READS),
+    "gpc-data-cb": Recipe(_gpc_data_cb, ("sigma_f", "length_scale", "noise", "target_kind",
+                                         "proba_method")),
+    "gpc-dist-10step": Recipe(_gpc_dist_ten_step, ("steps", "sigma_f", "length_scale",
+                                                   "proba_method")),
+    "grid-search": Recipe(_grid_search, ()),
 }
+
+_OPTIONAL_FIELDS = ("steps", "sigma_f", "length_scale", "noise", "target_kind", "proba_method")
+
+
+def _reject_unread(config: ExperimentConfig, reads: tuple[str, ...]) -> None:
+    """A set field that the recipe would not read is an error, not a silent no-op."""
+    for name in _OPTIONAL_FIELDS:
+        if getattr(config, name) is not None and name not in reads:
+            flag = "--" + name.replace("_", "-")
+            raise ValueError(f"{flag} does not apply to {config.experiment}")
+    if (config.sigma_f is None) != (config.length_scale is None):
+        raise ValueError("--sigma-f and --length-scale fix the kernel together; give both or "
+                         "neither (neither runs the experiment's grid search)")
 
 
 def run_experiment(config: ExperimentConfig) -> dict:
@@ -418,7 +435,9 @@ def run_experiment(config: ExperimentConfig) -> dict:
             f"unknown experiment {config.experiment!r}; "
             f"known: {', '.join(sorted(EXPERIMENTS))}"
         )
-    problem, tables, fields = EXPERIMENTS[config.experiment](config)
+    recipe = EXPERIMENTS[config.experiment]
+    _reject_unread(config, recipe.reads)
+    problem, tables, fields = recipe.run(config)
     manifest = {
         "experiment": config.experiment,
         "seed": config.seed,

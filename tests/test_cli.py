@@ -206,8 +206,21 @@ class TestExitCodes:
         ("gpc-data-cb", "--steps", "5"),
         ("grid-search", "--steps", "3"),
         ("gpr-dist-10step", "--sigma-f", "1e200", "--length-scale", "1"),
+        ("gpr-data-10step", "--sigma-f", "2"),
+        ("gpc-data-cb", "--length-scale", "1"),
+        ("grid-search", "--sigma-f", "2", "--length-scale", "1"),
+        ("grid-search", "--noise", "3"),
+        ("grid-search", "--proba-method", "quadrature"),
+        ("grid-search", "--target-kind", "soft_mean"),
+        ("gpc-dist-10step", "--target-kind", "hard_threshold"),
+        ("gpc-dist-10step", "--noise", "4"),
+        ("gpr-dist-schedules", "--target-kind", "soft_mean"),
+        ("gpr-data-10step", "--proba-method", "latent_mean"),
     ], ids=["grid-noise", "fixed-noise", "n-train", "steps", "missing-data",
-            "gpc-data-cb-steps", "grid-search-steps", "sigma-f-overflow"])
+            "gpc-data-cb-steps", "grid-search-steps", "sigma-f-overflow",
+            "lone-sigma-f", "lone-length-scale", "grid-search-kernel", "grid-search-noise",
+            "grid-search-proba-method", "grid-search-target-kind", "gpc-dist-target-kind",
+            "gpc-dist-noise", "gpr-target-kind", "gpr-proba-method"])
     def test_reproduce_failure_leaves_no_out_dir(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
         argv = tuple(str(tmp_path / a) if a.endswith(".csv") else a for a in argv)
@@ -275,6 +288,29 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "usage error" in err and f"does not apply to --method {method}" in err
         assert not model.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("fit", "--data", "cls.csv", "--method", "gpc", "--sigma-f", "1", "--length-scale", "1",
+         "--noise", "5", "--save", "out"),
+        ("fit", "--data", "reg.csv", "--method", "gpr", "--sigma-f", "1", "--length-scale", "1",
+         "--likelihood", "continuous-bernoulli", "--save", "out"),
+        ("predict", "--model", "model.json", "--points", "0,1", "--data", "reg.csv",
+         "--out", "out"),
+        ("grid-search", "--data", "reg.csv", "--objective", "gpr", "--noise", "5",
+         "--noise-grid", "0.5,1", "--out", "out"),
+    ], ids=["fit-gpc-noise", "fit-gpr-likelihood", "predict-points-and-data",
+            "grid-noise-and-noise-grid"])
+    def test_flag_that_would_be_dropped_is_one_and_writes_nothing(self, tmp_path, monkeypatch,
+                                                                  capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        run("gen-data", "--kind", "regression", "--n", "12", "--seed", "0", "--out", "reg.csv")
+        run("gen-data", "--kind", "classification", "--n", "12", "--seed", "0", "--out", "cls.csv")
+        run("fit", "--data", "reg.csv", "--method", "gpr", "--sigma-f", "1", "--length-scale", "1",
+            "--save", "model.json")
+        capsys.readouterr()
+        assert run(*argv) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("sigma_f", ["-2", "0", "nan", "inf"])
     @pytest.mark.parametrize("argv", [
