@@ -103,18 +103,11 @@ def _rel_err(actual: list[float], expected: list[float]) -> float:
     return float(np.linalg.norm(actual - expected) / max(np.linalg.norm(expected), 1e-300))
 
 
-def _as_number(cell: str) -> float | None:
-    try:
-        return float(cell)
-    except ValueError:
-        return None
-
-
-def _csv_columns(path: Path) -> dict:
+def _csv(path: Path) -> tuple[list[str], list[tuple[str, ...]]]:
+    """Header and columns of a CSV file."""
     with open(path, newline="") as handle:
-        header, *rows = list(csv.reader(handle))
-    return {"header": header, "rows": len(rows),
-            **{f"{i}:{name}": [row[i] for row in rows] for i, name in enumerate(header)}}
+        header, *rows = csv.reader(handle)
+    return header, list(zip(*rows))
 
 
 def _json_leaves(value, key: str, numbers: dict, others: dict) -> None:
@@ -147,20 +140,16 @@ def compare_file(got: Path, want: Path) -> list[str]:
             return ["non-numeric content or layout differs"]
         columns = [(key, got_numbers[key], want_numbers[key]) for key in want_numbers]
     else:
-        got_cols, want_cols = _csv_columns(got), _csv_columns(want)
-        if (got_cols["header"], got_cols["rows"]) != (want_cols["header"], want_cols["rows"]):
+        (got_header, got_cols), (want_header, want_cols) = _csv(got), _csv(want)
+        if got_header != want_header or list(map(len, got_cols)) != list(map(len, want_cols)):
             return ["header or row count differs"]
         columns = []
-        for key in want_cols:
-            if key in ("header", "rows"):
-                continue
-            got_num = [_as_number(c) for c in got_cols[key]]
-            want_num = [_as_number(c) for c in want_cols[key]]
-            if None in want_num or None in got_num:
-                if got_cols[key] != want_cols[key]:
-                    problems.append(f"column {key}: text cells differ")
-            else:
-                columns.append((key, got_num, want_num))
+        for name, got_col, want_col in zip(want_header, got_cols, want_cols):
+            try:
+                columns.append((name, [float(c) for c in got_col], [float(c) for c in want_col]))
+            except ValueError:  # a text column
+                if got_col != want_col:
+                    problems.append(f"column {name}: text cells differ")
     for key, got_col, want_col in columns:
         if len(got_col) != len(want_col):
             problems.append(f"{key}: {len(got_col)} numbers, expected {len(want_col)}")
