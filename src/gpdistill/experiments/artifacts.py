@@ -39,7 +39,6 @@ class ModelArtifact:
     method: str
     kernel_params: KernelParams
     payload: dict
-    version: int = FORMAT_VERSION
 
     def __post_init__(self):
         if self.method not in METHOD_TAGS:
@@ -52,7 +51,7 @@ def _listify(arr) -> list:
 
 def save_model(artifact: ModelArtifact, path) -> None:
     doc = {
-        "format_version": artifact.version,
+        "format_version": FORMAT_VERSION,
         "method": artifact.method,
         "kernel_params": {
             "signal_variance": artifact.kernel_params.signal_variance,

@@ -23,8 +23,8 @@ from ..gpc_distill import (
     distribution_centric_gpc_scaled,
 )
 from ..gridsearch import DEFAULT_GRID_AXIS, NUMERICAL_ERRORS, GridSpec, grid_search
-from ..kernels import KernelParams, gram, signal_variance_of
-from ..laplace import BERNOULLI, CONTINUOUS_BERNOULLI, laplace_mode
+from ..kernels import DEFAULT_JITTER, KernelParams, gram, signal_variance_of
+from ..laplace import BERNOULLI, CONTINUOUS_BERNOULLI, PROBA_METHODS, laplace_mode
 from .artifacts import (
     ArtifactError,
     artifact_from_gpr,
@@ -46,14 +46,12 @@ from .runner import (
     EXPERIMENTS,
     GRID_HEADER,
     ExperimentConfig,
+    UsageError,
     grid_columns,
+    reject_unread,
     run_experiment,
     write_csv,
 )
-
-
-class UsageError(Exception):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -83,7 +81,7 @@ def _kernel_params(args) -> KernelParams:
     return KernelParams(
         signal_variance=signal_variance_of(args.sigma_f, "--sigma-f"),
         length_scale=args.length_scale,
-        jitter=args.jitter,
+        jitter=DEFAULT_JITTER if args.jitter is None else args.jitter,
     )
 
 
@@ -91,7 +89,8 @@ def _add_kernel_flags(parser, required: bool = True):
     parser.add_argument("--sigma-f", type=float, required=required, default=None,
                         help="kernel scale sigma_f (signal variance is its square)")
     parser.add_argument("--length-scale", type=float, required=required, default=None)
-    parser.add_argument("--jitter", type=float, default=1e-8)
+    parser.add_argument("--jitter", type=float, default=None,
+                        help=f"classification methods only (default {DEFAULT_JITTER:g})")
 
 
 def _points_from_args(args) -> np.ndarray:
@@ -101,17 +100,21 @@ def _points_from_args(args) -> np.ndarray:
     return load_regression_csv(args.data).xs
 
 
-def _reject_inapplicable(args, flag_methods: dict) -> None:
-    """A method-specific flag set for a --method that would not read it is a usage error."""
-    for dest, methods in flag_methods.items():
-        if getattr(args, dest) is not None and args.method not in methods:
-            flag = "--" + dest.replace("_", "-")
-            raise UsageError(f"{flag} does not apply to --method {args.method}")
+# the optional flags that each value of a command's mode flag reads; the other values reject them
+_GEN_DATA_READS = {"regression": ("noiseless",), "classification": ()}
+_FIT_READS = {"gpr": ("noise",), "gpc": ("likelihood", "jitter")}
+_DISTILL_READS = {
+    "gpr-data": ("gammas", "mix_alpha"),
+    "gpr-dist": ("gammas",),
+    "gpc-data": ("reg_gammas", "target_kind", "jitter"),
+    "gpc-dist": ("jitter",),
+}
 
 
 def _cmd_gen_data(args) -> int:
+    reject_unread(args, _GEN_DATA_READS, args.kind, f"--kind {args.kind}")
     if args.kind == "regression":
-        data = gen_regression_toy(args.seed, n=args.n, noiseless=args.noiseless)
+        data = gen_regression_toy(args.seed, n=args.n, noiseless=bool(args.noiseless))
     else:
         data = gen_classification_toy(args.seed, n=args.n)
     write_dataset_csv(args.out, data.xs, data.ys)
@@ -119,12 +122,8 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
-# the fit methods that read each method-specific flag; the other method rejects it
-_FIT_FLAG_METHODS = {"noise": ("gpr",), "likelihood": ("gpc",)}
-
-
 def _cmd_fit(args) -> int:
-    _reject_inapplicable(args, _FIT_FLAG_METHODS)
+    reject_unread(args, _FIT_READS, args.method, f"--method {args.method}")
     params = _kernel_params(args)
     if args.method == "gpr":
         noise = 0.1 if args.noise is None else args.noise
@@ -153,17 +152,8 @@ def _cmd_predict(args) -> int:
     return 0
 
 
-# the distill methods that read each method-specific flag; any other method rejects it
-_DISTILL_FLAG_METHODS = {
-    "mix_alpha": ("gpr-data",),
-    "gammas": ("gpr-data", "gpr-dist"),
-    "reg_gammas": ("gpc-data",),
-    "target_kind": ("gpc-data",),
-}
-
-
 def _cmd_distill(args) -> int:
-    _reject_inapplicable(args, _DISTILL_FLAG_METHODS)
+    reject_unread(args, _DISTILL_READS, args.method, f"--method {args.method}")
     params = _kernel_params(args)
     gammas = parse_values(args.gammas) if args.gammas else None
     if args.method in ("gpr-data", "gpr-dist") and gammas is None:
@@ -204,15 +194,13 @@ def _cmd_distill(args) -> int:
             last.fit, params, data.xs, method="gpc-data", diag_shift=diag_shift,
             extra={"steps": steps, "target_kind": target_kind},
         )
-    elif args.method == "gpc-dist":
+    else:  # gpc-dist
         data = load_classification_csv(args.data)
         scaled = distribution_centric_gpc_scaled(data, params, steps)
         artifact = artifact_from_laplace(
             scaled.fit, params, data.xs, method="gpc-dist", kernel_scale=steps,
             extra={"steps": steps},
         )
-    else:
-        raise UsageError(f"unknown distill method {args.method!r}")
 
     save_model(artifact, args.save)
     print(f"saved {artifact.method} model ({steps} steps) to {args.save}")
@@ -308,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("regression", "classification"), required=True)
     p.add_argument("--n", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--noiseless", action="store_true")
+    p.add_argument("--noiseless", action="store_true", default=None, help="regression only")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_gen_data)
 
@@ -364,7 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("experiment", choices=sorted(EXPERIMENTS))
     p.add_argument("--out-dir", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-train", type=int, default=None)
+    p.add_argument("--n-train", type=int, default=None,
+                   help="size of the generated toy; a --data run rejects it")
     p.add_argument("--steps", type=int, default=None,
                    help="chain length (default 10); the fixed designs gpc-data-cb and "
                         "grid-search reject it")
@@ -373,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", type=float, default=None)
     p.add_argument("--target-kind", choices=TARGET_KINDS, default=None,
                    help="gpc-data-cb only (default soft_mean)")
-    p.add_argument("--proba-method", choices=("quadrature", "latent_mean"),
+    p.add_argument("--proba-method", choices=PROBA_METHODS,
                    default=None, help="default is experiment-specific and recorded")
     p.add_argument("--data", default=None)
     p.set_defaults(fn=_cmd_reproduce)

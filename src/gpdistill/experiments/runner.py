@@ -32,6 +32,7 @@ from ..gpr_distill import (
     effective_noise,
 )
 from ..gpc_distill import (
+    TARGET_KINDS,
     GpcDistillConfig,
     approximation_error,
     data_centric_gpc,
@@ -44,6 +45,7 @@ from ..kernels import KernelParams, SpectralDecomp, gram, signal_variance_of, sp
 from ..laplace import (
     BERNOULLI,
     CONTINUOUS_BERNOULLI,
+    PROBA_METHODS,
     BinaryDataset,
     gpc_predict_proba,
     laplace_mode,
@@ -71,12 +73,27 @@ BAND_HEADER = ["step", "x", "mean", "p2.5", "p97.5"]
 BAND_FIELDS = {"test_grid": GPR_TEST_GRID, "percentiles": {"z": Z975, "levels": [2.5, 97.5]}}
 
 
+class UsageError(ValueError):
+    """Bad usage, such as a flag or field that the chosen mode would not read (exit 1 on the CLI)."""
+
+
+def reject_unread(values, reads: dict[str, tuple[str, ...]], mode: str, label: str) -> None:
+    """Raise UsageError for an attribute of `values` that is set but not in `reads[mode]`.
+
+    `reads` maps each mode to the optional fields it reads; the union of its rows
+    is every optional field. `label` names the mode in the message.
+    """
+    for name in dict.fromkeys(field for row in reads.values() for field in row):
+        if getattr(values, name) is not None and name not in reads[mode]:
+            raise UsageError(f"--{name.replace('_', '-')} does not apply to {label}")
+
+
 @dataclass
 class ExperimentConfig:
     experiment: str
     out_dir: Path
     seed: int = 0
-    n_train: int | None = None
+    n_train: int | None = None  # sizes the generated toy; a dataset_csv run rejects it
     # run_experiment rejects any of these six that is set but not in its recipe's reads
     steps: int | None = None  # DEFAULT_STEPS for the chains; fixed designs reject it
     sigma_f: float | None = None
@@ -98,6 +115,13 @@ class ExperimentConfig:
             raise ValueError(f"steps must be at least 1, got {self.steps}")
         if self.n_train is not None and self.n_train < 1:
             raise ValueError(f"n_train must be at least 1, got {self.n_train}")
+        if self.n_train is not None and self.dataset_csv:
+            raise UsageError("--n-train does not apply to a --data run: it sizes the generated toy")
+        if self.target_kind is not None and self.target_kind not in TARGET_KINDS:
+            raise ValueError(f"target_kind must be one of {TARGET_KINDS}, got {self.target_kind!r}")
+        if self.proba_method is not None and self.proba_method not in PROBA_METHODS:
+            raise ValueError(f"proba_method must be one of {PROBA_METHODS}, "
+                             f"got {self.proba_method!r}")
 
 
 class Table(NamedTuple):
@@ -413,18 +437,7 @@ EXPERIMENTS = {
     "grid-search": Recipe(_grid_search, ()),
 }
 
-_OPTIONAL_FIELDS = ("steps", "sigma_f", "length_scale", "noise", "target_kind", "proba_method")
-
-
-def _reject_unread(config: ExperimentConfig, reads: tuple[str, ...]) -> None:
-    """A set field that the recipe would not read is an error, not a silent no-op."""
-    for name in _OPTIONAL_FIELDS:
-        if getattr(config, name) is not None and name not in reads:
-            flag = "--" + name.replace("_", "-")
-            raise ValueError(f"{flag} does not apply to {config.experiment}")
-    if (config.sigma_f is None) != (config.length_scale is None):
-        raise ValueError("--sigma-f and --length-scale fix the kernel together; give both or "
-                         "neither (neither runs the experiment's grid search)")
+_READS = {name: recipe.reads for name, recipe in EXPERIMENTS.items()}
 
 
 def run_experiment(config: ExperimentConfig) -> dict:
@@ -435,9 +448,11 @@ def run_experiment(config: ExperimentConfig) -> dict:
             f"unknown experiment {config.experiment!r}; "
             f"known: {', '.join(sorted(EXPERIMENTS))}"
         )
-    recipe = EXPERIMENTS[config.experiment]
-    _reject_unread(config, recipe.reads)
-    problem, tables, fields = recipe.run(config)
+    reject_unread(config, _READS, config.experiment, config.experiment)
+    if (config.sigma_f is None) != (config.length_scale is None):
+        raise UsageError("--sigma-f and --length-scale fix the kernel together; give both or "
+                         "neither (neither runs the experiment's grid search)")
+    problem, tables, fields = EXPERIMENTS[config.experiment].run(config)
     manifest = {
         "experiment": config.experiment,
         "seed": config.seed,

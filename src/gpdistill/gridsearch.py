@@ -157,7 +157,6 @@ def grid_search(
     data,
     grid: GridSpec,
     objective: str,
-    jitter: float = 1e-8,
     fixed_noise: float = 0.0,
 ) -> GridSearchResult:
     """Exhaustive sweep returning the argmin cell and the full grid.
@@ -194,9 +193,7 @@ def grid_search(
     last_error: Exception | None = None
     for sigma_f in sorted(grid.sigma_f_values):
         for length_scale in sorted(grid.length_scale_values):
-            params = KernelParams(
-                signal_variance=sigma_f**2, length_scale=length_scale, jitter=jitter
-            )
+            params = KernelParams(signal_variance=sigma_f**2, length_scale=length_scale)
             column = columns.get(length_scale)  # None for the classification objectives
             for noise in sorted(noise_axis):
                 nll, error = math.inf, column if isinstance(column, Exception) else None
@@ -224,9 +221,7 @@ def grid_search(
         raise GridSearchFailed(
             f"every grid cell failed to produce a finite objective{reason}"
         ) from last_error
-    best_params = KernelParams(
-        signal_variance=best.sigma_f**2, length_scale=best.length_scale, jitter=jitter
-    )
+    best_params = KernelParams(signal_variance=best.sigma_f**2, length_scale=best.length_scale)
     return GridSearchResult(
         best_params=best_params,
         best_noise=best.noise,

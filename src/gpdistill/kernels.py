@@ -97,7 +97,10 @@ def finish_kernel(sq_dists: np.ndarray, params: KernelParams, out=None) -> np.nd
     Writes into `out` when given (which may be `sq_dists` itself), else into a
     new array, so a distance matrix shared across hyperparameters stays intact.
     """
-    values = np.divide(sq_dists, -2.0 * params.length_scale, out=out)
+    # a tiny length scale can overflow the ratio to -inf; exp then gives 0, the
+    # kernel value in floating point, so the overflow is not an error
+    with np.errstate(over="ignore"):
+        values = np.divide(sq_dists, -2.0 * params.length_scale, out=out)
     np.exp(values, out=values)
     values *= params.signal_variance
     return values

@@ -34,6 +34,8 @@ BERNOULLI = "bernoulli"
 CONTINUOUS_BERNOULLI = "continuous_bernoulli"
 
 _GH_NODES, _GH_WEIGHTS = hermgauss(32)
+# posterior_proba's ways to turn a latent posterior into class-1 probabilities
+PROBA_METHODS = ("quadrature", "latent_mean")
 
 DEFAULT_MAX_ITERS = 100
 STEP_TOL = 1e-10
@@ -293,13 +295,13 @@ def posterior_proba(gp: PosteriorGP, xs, method: str = "quadrature") -> np.ndarr
     averages sigma over the latent Gaussian. The two differ away from 0.5 but
     share the same decision boundary.
     """
+    if method not in PROBA_METHODS:
+        raise ValueError(f"unknown probability method {method!r}; known: {PROBA_METHODS}")
     pts = as_points(xs)
     mu = gp.mean(pts)
     if method == "latent_mean":
         return expit(mu)
-    if method == "quadrature":
-        return sigmoid_gaussian_mean(mu, gp.var(pts))
-    raise ValueError(f"unknown probability method {method!r}")
+    return sigmoid_gaussian_mean(mu, gp.var(pts))
 
 
 def gpc_predict_proba(

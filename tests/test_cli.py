@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from gpdistill.experiments.cli import main, parse_values
+from gpdistill.experiments.datasets import load_regression_csv
+from gpdistill.kernels import KernelParams, gram
 
 
 def run(*argv) -> int:
@@ -165,14 +167,30 @@ class TestExitCodes:
                    tmp_path / "m.json") == 1
 
     def test_numerical_failure_is_two(self, tmp_path, capsys):
-        # duplicated inputs with zero noise and zero jitter: singular system
+        # duplicated inputs with zero noise: singular system
         bad = tmp_path / "bad.csv"
         bad.write_text("x1,y\n1.0,0.0\n1.0,1.0\n")
         code = run("fit", "--data", bad, "--method", "gpr", "--sigma-f", "1",
-                   "--length-scale", "1", "--noise", "0", "--jitter", "0",
-                   "--save", tmp_path / "m.json")
+                   "--length-scale", "1", "--noise", "0", "--save", tmp_path / "m.json")
         assert code == 2
         assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, argv", [
+        ("regression", ("fit", "--method", "gpr")),
+        ("classification", ("fit", "--method", "gpc")),
+        ("classification", ("distill", "--method", "gpc-dist", "--steps", "2")),
+    ], ids=["fit-gpr", "fit-gpc", "distill-gpc-dist"])
+    def test_tiny_length_scale_is_a_zero_kernel_not_a_warning(self, tmp_path, kind, argv):
+        # d^2 / (-2 * 1e-320) overflows to -inf for these distances, and exp(-inf) = 0
+        # is the kernel value in floating point; pytest makes the RuntimeWarning an error
+        data, model = tmp_path / "data.csv", tmp_path / "m.json"
+        run("gen-data", "--kind", kind, "--n", "8", "--seed", "0", "--out", data)
+        assert run(*argv, "--data", data, "--sigma-f", "1", "--length-scale", "1e-320",
+                   "--save", model) == 0
+        assert run("predict", "--model", model, "--points", "0,1,2",
+                   "--out", tmp_path / "p.csv") == 0
+        xs = load_regression_csv(data).xs
+        assert np.array_equal(gram(xs, KernelParams(1.0, 1e-320)), np.eye(len(xs)))
 
     def test_grid_search_with_every_cell_singular_is_two(self, tmp_path, capsys):
         # 300 close inputs and zero noise: K + 0*I is singular in every cell
@@ -216,12 +234,16 @@ class TestExitCodes:
         ("gpc-dist-10step", "--noise", "4"),
         ("gpr-dist-schedules", "--target-kind", "soft_mean"),
         ("gpr-data-10step", "--proba-method", "latent_mean"),
+        ("gpr-data-10step", "--data", "reg.csv", "--n-train", "5"),
     ], ids=["grid-noise", "fixed-noise", "n-train", "steps", "missing-data",
             "gpc-data-cb-steps", "grid-search-steps", "sigma-f-overflow",
             "lone-sigma-f", "lone-length-scale", "grid-search-kernel", "grid-search-noise",
             "grid-search-proba-method", "grid-search-target-kind", "gpc-dist-target-kind",
-            "gpc-dist-noise", "gpr-target-kind", "gpr-proba-method"])
+            "gpc-dist-noise", "gpr-target-kind", "gpr-proba-method", "data-n-train"])
     def test_reproduce_failure_leaves_no_out_dir(self, tmp_path, capsys, argv):
+        # reg.csv exists, so a row that names it fails for its flags, not a missing file
+        run("gen-data", "--kind", "regression", "--n", "12", "--seed", "0",
+            "--out", tmp_path / "reg.csv")
         out = tmp_path / "out"
         argv = tuple(str(tmp_path / a) if a.endswith(".csv") else a for a in argv)
         assert run("reproduce", *argv, "--out-dir", out) == 1
@@ -298,8 +320,21 @@ class TestExitCodes:
          "--out", "out"),
         ("grid-search", "--data", "reg.csv", "--objective", "gpr", "--noise", "5",
          "--noise-grid", "0.5,1", "--out", "out"),
+        ("fit", "--data", "reg.csv", "--method", "gpr", "--sigma-f", "1", "--length-scale", "1",
+         "--jitter", "0.5", "--save", "out"),
+        ("distill", "--data", "reg.csv", "--method", "gpr-data", "--sigma-f", "1",
+         "--length-scale", "1", "--gammas", "0.1,0.2", "--jitter", "0.5", "--save", "out"),
+        ("distill", "--data", "reg.csv", "--method", "gpr-dist", "--sigma-f", "1",
+         "--length-scale", "1", "--gammas", "0.1,0.2", "--jitter", "0.5", "--save", "out"),
+        ("gen-data", "--kind", "classification", "--noiseless", "--out", "out"),
+        ("distill", "--data", "reg.csv", "--method", "gpr-dist", "--sigma-f", "1",
+         "--length-scale", "1", "--save", "out"),
+        ("distill", "--data", "cls.csv", "--method", "gpc-data", "--sigma-f", "1",
+         "--length-scale", "1", "--save", "out"),
     ], ids=["fit-gpc-noise", "fit-gpr-likelihood", "predict-points-and-data",
-            "grid-noise-and-noise-grid"])
+            "grid-noise-and-noise-grid", "fit-gpr-jitter", "distill-gpr-data-jitter",
+            "distill-gpr-dist-jitter", "gen-data-classification-noiseless",
+            "distill-gpr-without-gammas", "distill-gpc-without-steps"])
     def test_flag_that_would_be_dropped_is_one_and_writes_nothing(self, tmp_path, monkeypatch,
                                                                   capsys, argv):
         monkeypatch.chdir(tmp_path)

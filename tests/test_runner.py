@@ -143,6 +143,16 @@ class TestGpcDataCbFits:
         assert sorted(likelihoods) == sorted([BERNOULLI] * 3 + [CONTINUOUS_BERNOULLI] * 3)
 
 
+class TestConfigChecks:
+    @pytest.mark.parametrize("field", ["proba_method", "target_kind"])
+    def test_unknown_choice_rejected_at_construction(self, tmp_path, field):
+        # before any fit: the recipe would run its grid search and chains first
+        with pytest.raises(ValueError, match=f"{field} must be one of"):
+            ExperimentConfig(experiment="gpc-dist-10step", out_dir=tmp_path / "out",
+                             **{field: "bogus"})
+        assert not (tmp_path / "out").exists()
+
+
 class TestRegistry:
     def test_unknown_experiment_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown experiment"):
