@@ -3,15 +3,16 @@
 Numeric fields are stored as JSON numbers, whose text form (repr of a Python
 float) round-trips bit-exactly, so a saved-then-loaded model reproduces its
 predictions to the last bit. Each artifact carries a method tag that the
-loader dispatches on. A regression payload is the posterior's training inputs
-and weights; the noise it was fit with may ride along as provenance, since
-mean prediction never reads it.
+loader dispatches on, and the kernel of the posterior itself (t*sigma_f^2 for
+gpc-dist; version 1 files stored a kernel_scale instead and are rejected). A
+regression payload is the posterior's training inputs and weights; the noise it
+was fit with may ride along as provenance, since mean prediction never reads it.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from ..gpr import PosteriorGP
 from ..kernels import KernelParams, as_points, gram
 from ..laplace import CurvatureFactor, LaplaceFit, posterior_proba
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 METHOD_TAGS = ("gpr", "gpr-data", "gpr-dist", "gpc", "gpc-data", "gpc-dist")
 
@@ -97,8 +98,7 @@ def _check_payload(method: str, payload) -> None:
     """Raise ValueError unless the payload can drive predict_from_artifact.
 
     Optional scalars are checked when present: a regression payload's noise and
-    mix_alpha (provenance only) and a classification payload's kernel_scale and
-    diag_shift.
+    mix_alpha (provenance only) and a classification payload's diag_shift.
     """
     if not isinstance(payload, dict):
         raise ValueError(f"payload must be an object, got {type(payload).__name__}")
@@ -110,7 +110,7 @@ def _check_payload(method: str, payload) -> None:
     vectors = {key: np.asarray(payload[key], dtype=float)
                for key in ("alpha_weights", "w_diag") if key in required}
     scalars = {key: float(payload[key])
-               for key in ("noise", "mix_alpha", "kernel_scale", "diag_shift") if key in payload}
+               for key in ("noise", "mix_alpha", "diag_shift") if key in payload}
     if not all(np.all(np.isfinite(v)) for v in (xs, *vectors.values(), *scalars.values())):
         raise ValueError("payload values must be finite")
     if len(xs) < 1:
@@ -120,8 +120,6 @@ def _check_payload(method: str, payload) -> None:
             raise ValueError(f"{key} has shape {vector.shape} for {len(xs)} training inputs")
     if np.any(vectors.get("w_diag", 0.0) < 0.0):
         raise ValueError("w_diag must be non-negative")
-    if scalars.get("kernel_scale", 1.0) <= 0.0:
-        raise ValueError("kernel_scale must be positive")
     if scalars.get("diag_shift", 0.0) < 0.0 or scalars.get("noise", 0.0) < 0.0:
         raise ValueError("diag_shift and noise must be non-negative")
     if not 0.0 < scalars.get("mix_alpha", 0.5) < 1.0:
@@ -146,17 +144,16 @@ def artifact_from_laplace(
     params: KernelParams,
     train_xs,
     method: str = "gpc",
-    kernel_scale: float = 1.0,
     diag_shift: float = 0.0,
     extra: dict | None = None,
 ) -> ModelArtifact:
+    """A Laplace fit with params, the kernel of its posterior, and the diag_shift its Gram had."""
     payload = {
         "train_xs": _listify(as_points(train_xs)),
         "f_hat": _listify(fit.f_hat),
         "alpha_weights": _listify(fit.alpha_weights),
         "w_diag": _listify(fit.w_diag),
         "likelihood": fit.likelihood,
-        "kernel_scale": float(kernel_scale),
         "diag_shift": float(diag_shift),
     }
     if extra:
@@ -186,11 +183,9 @@ def predict_from_artifact(artifact: ModelArtifact, test_xs) -> np.ndarray:
     if artifact.method.startswith("gpr"):
         return PosteriorGP(train_xs, params, alpha).mean(pts)
 
-    scale = float(payload.get("kernel_scale", 1.0))
-    scaled = replace(params, signal_variance=scale * params.signal_variance)
-    # the Gram the stored fit ran on: scaled kernel, jitter and diag_shift
-    K = gram(train_xs, scaled, add_jitter=True)
+    # the Gram the stored fit ran on: the kernel, its jitter and the diag_shift
+    K = gram(train_xs, params, add_jitter=True)
     K[np.diag_indices_from(K)] += float(payload.get("diag_shift", 0.0))
     w = np.asarray(payload["w_diag"], dtype=float)
-    gp = PosteriorGP(train_xs, scaled, alpha, CurvatureFactor(K, w).half)
+    gp = PosteriorGP(train_xs, params, alpha, CurvatureFactor(K, w).half)
     return posterior_proba(gp, pts, "quadrature")

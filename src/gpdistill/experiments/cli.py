@@ -61,19 +61,25 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_values(text: str) -> tuple[float, ...]:
-    """Comma list ("0.1,0.2") or "linspace:a:b:n" / "logspace:a:b:n"."""
+    """Comma list ("0.1,0.2") or "linspace:a:b:n" / "logspace:a:b:n", every value finite."""
     text = text.strip()
+    values = None
     for name, fn in (("linspace", np.linspace), ("logspace", np.logspace)):
         if text.startswith(name + ":"):
             parts = text.split(":")
             if len(parts) != 4:
                 raise UsageError(f"expected {name}:start:stop:num, got {text!r}")
             start, stop, num = float(parts[1]), float(parts[2]), int(parts[3])
-            return tuple(fn(start, stop, num))
-    try:
-        return tuple(float(v) for v in text.split(","))
-    except ValueError:
-        raise UsageError(f"cannot parse value list {text!r}") from None
+            with np.errstate(over="ignore"):  # an overflow is reported below as inf
+                values = tuple(fn(start, stop, num))
+    if values is None:
+        try:
+            values = tuple(float(v) for v in text.split(","))
+        except ValueError:
+            raise UsageError(f"cannot parse value list {text!r}") from None
+    if not np.all(np.isfinite(values)):
+        raise UsageError(f"values must be finite, got {text!r}")
+    return values
 
 
 def _kernel_params(args) -> KernelParams:
@@ -198,7 +204,7 @@ def _cmd_distill(args) -> int:
         data = load_classification_csv(args.data)
         scaled = distribution_centric_gpc_scaled(data, params, steps)
         artifact = artifact_from_laplace(
-            scaled.fit, params, data.xs, method="gpc-dist", kernel_scale=steps,
+            scaled.fit, scaled.posterior.params, data.xs, method="gpc-dist",
             extra={"steps": steps},
         )
 

@@ -11,7 +11,9 @@ iterated chain.
 Every step's latent posterior is a gpr.PosteriorGP, built by
 laplace.gpc_posterior or PosteriorGP.condition from the square-root factor
 half of a laplace.CurvatureFactor, and laplace.posterior_proba (re-exported
-here) turns it into class probabilities.
+here) turns it into class probabilities. Each factor pairs a fit's curvature
+w with the one matrix that fit ran on, jitter included, so the scaled fit's
+posterior is exactly the ordinary posterior under signal variance t*sigma_f^2.
 """
 
 from __future__ import annotations
@@ -160,20 +162,17 @@ def distribution_centric_gpc_iterated(
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     xs = data.xs
-    eye = np.eye(data.n)
+    jitter = params.jitter * np.eye(data.n)
     current = PosteriorGP(xs, params)
     out: list[GpcDistillStep] = []
     for t in range(1, steps + 1):
-        K_t = current.cov(xs)
+        K_t = current.cov(xs) + jitter
         try:
-            fit = laplace_mode(data.ys, K_t + params.jitter * eye, prior_mean=current.mean(xs),
-                               likelihood=BERNOULLI)
+            fit = laplace_mode(data.ys, K_t, prior_mean=current.mean(xs), likelihood=BERNOULLI)
         except NewtonDidNotConverge as exc:
             raise NewtonDidNotConverge(
                 f"step {t} of {steps} failed: {exc}", grad_norm=exc.grad_norm
             ) from exc
-        # the fit adds the jitter so that step 1 solves the mode problem of the
-        # scaled fit at t=1; like that fit, the update conditions on bare K_t
         current = current.condition(fit.alpha_weights, CurvatureFactor(K_t, fit.w_diag).half)
         out.append(GpcDistillStep(fit=fit, posterior=current))
     return out
@@ -192,10 +191,10 @@ def distribution_centric_gpc_scaled(
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
     scaled = replace(params, signal_variance=t * params.signal_variance)
-    K_raw = gram(data.xs, scaled, add_jitter=False)
-    fit = laplace_mode(data.ys, K_raw + params.jitter * np.eye(data.n), likelihood=BERNOULLI)
+    K = gram(data.xs, scaled, add_jitter=True)
+    fit = laplace_mode(data.ys, K, likelihood=BERNOULLI)
     # conditioning the prior once gives c = alpha and M = (K + W^-1)^-1
-    posterior = gpc_posterior(fit, K_raw, data.xs, scaled)
+    posterior = gpc_posterior(fit, K, data.xs, scaled)
     return GpcDistillStep(fit=fit, posterior=posterior)
 
 

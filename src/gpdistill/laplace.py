@@ -261,8 +261,9 @@ def gpc_posterior(fit: LaplaceFit, K, train_xs, params: KernelParams) -> Posteri
     Its weights are alpha and its factor is the curvature factor's half, whose
     R^T R is (K + W^-1)^-1, so mean(a) = k(a, X) alpha and
     cov(a, b) = k(a, b) - k(a, X)(K + W^-1)^-1 k(X, b).
-    K is the matrix the curvature is paired with (usually the one the fit ran
-    on); params give the kernel between test and training points.
+    K must be the matrix the fit ran on, jitter and any diagonal shift included,
+    because w is that fit's curvature; params give the kernel between test and
+    training points.
     """
     return PosteriorGP(train_xs, params, fit.alpha_weights, CurvatureFactor(K, fit.w_diag).half)
 

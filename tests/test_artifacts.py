@@ -106,7 +106,7 @@ class TestRoundTrip:
         )
         scaled = distribution_centric_gpc_scaled(cls, params, 4)
         artifacts["gpc-dist"] = artifact_from_laplace(
-            scaled.fit, params, cls.xs, method="gpc-dist", kernel_scale=4
+            scaled.fit, scaled.posterior.params, cls.xs, method="gpc-dist"
         )
         pts = np.linspace(0, 5, 11)
         for tag, artifact in artifacts.items():
@@ -123,14 +123,13 @@ class TestRoundTrip:
         params = KernelParams(signal_variance=1.0, length_scale=1.0)
         scaled = distribution_centric_gpc_scaled(cls, params, 5)
         artifact = artifact_from_laplace(
-            scaled.fit, params, cls.xs, method="gpc-dist", kernel_scale=5
+            scaled.fit, scaled.posterior.params, cls.xs, method="gpc-dist"
         )
         loaded = roundtrip(artifact, tmp_path)
         pts = np.linspace(0, 5, 9)
-        np.testing.assert_allclose(
+        np.testing.assert_array_equal(
             predict_from_artifact(loaded, pts),
             posterior_proba(scaled.posterior, pts, method="quadrature"),
-            atol=1e-10,
         )
 
 
@@ -152,6 +151,25 @@ class TestErrors:
         path.write_text(json.dumps(doc))
         with pytest.raises(ArtifactError, match="version"):
             load_model(path)
+
+    def test_version_1_scaled_model_rejected(self, tmp_path, capsys):
+        # version 1 stored the unscaled kernel and a kernel_scale that version 2 no longer reads
+        cls = gen_classification_toy(0, n=12)
+        params = KernelParams(signal_variance=1.0, length_scale=1.0)
+        scaled = distribution_centric_gpc_scaled(cls, params, 3)
+        path = tmp_path / "model.json"
+        save_model(artifact_from_laplace(scaled.fit, params, cls.xs, method="gpc-dist"), path)
+        doc = json.loads(path.read_text())
+        doc["format_version"] = 1
+        doc["payload"]["kernel_scale"] = 3.0
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ArtifactError, match="version 1"):
+            load_model(path)
+        out = tmp_path / "pred.csv"
+        assert main(["predict", "--model", str(path), "--points", "0,1,2",
+                     "--out", str(out)]) == 1
+        assert "version 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_not_a_model_file(self, tmp_path):
         path = tmp_path / "other.json"
@@ -187,7 +205,6 @@ class TestPayloadValidation:
         "gpc-missing-w": ("gpc", lambda p: {k: v for k, v in p.items() if k != "w_diag"}),
         "gpc-short-w": ("gpc", lambda p: {**p, "w_diag": p["w_diag"][:-1]}),
         "gpc-negative-w": ("gpc", lambda p: {**p, "w_diag": [-0.5] + p["w_diag"][1:]}),
-        "gpc-zero-scale": ("gpc", lambda p: {**p, "kernel_scale": 0.0}),
         "gpc-negative-shift": ("gpc", lambda p: {**p, "diag_shift": -1.0}),
     }
 

@@ -33,6 +33,14 @@ class TestParseValues:
         with pytest.raises(UsageError):
             parse_values("a,b")
 
+    @pytest.mark.parametrize("text", ["nan,1", "inf,2", "logspace:0:400:3"])
+    def test_non_finite_rejected(self, text):
+        from gpdistill.experiments.cli import UsageError
+
+        # logspace overflows to inf; pytest would turn numpy's warning into an error
+        with pytest.raises(UsageError, match="finite"):
+            parse_values(text)
+
 
 class TestPipelines:
     def test_regression_fit_predict(self, tmp_path):
@@ -376,9 +384,11 @@ class TestExitCodes:
                                 "--reg-gammas", "0,nan")),
             ("regression", ("grid-search", "--objective", "gpr", "--noise-grid", "0.5,nan")),
             ("regression", ("grid-search", "--objective", "gpr", "--noise", "nan")),
+            ("regression", ("grid-search", "--objective", "gpr", "--noise", "0.5",
+                            "--sigma-f-grid", "logspace:0:400:3")),
         ],
         ids=["gpr-dist-gammas", "fit-noise", "gpc-data-reg-gammas", "grid-noise-axis",
-             "grid-fixed-noise"],
+             "grid-fixed-noise", "grid-sigma-f-overflow"],
     )
     def test_non_finite_hyperparameter_is_one_and_writes_nothing(self, tmp_path, capsys,
                                                                  kind, argv):
@@ -389,6 +399,21 @@ class TestExitCodes:
         target = ("--out", out) if argv[0] == "grid-search" else (
             "--sigma-f", "1", "--length-scale", "1", "--save", out)
         assert run(*argv, "--data", data, *target) == 1
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("points", ["nan,1", "inf,2", "logspace:0:400:3"])
+    @pytest.mark.parametrize("kind, method", [("regression", "gpr"), ("classification", "gpc")])
+    def test_non_finite_points_are_one_and_write_nothing(self, tmp_path, capsys, kind, method,
+                                                         points):
+        data, model = tmp_path / "data.csv", tmp_path / "m.json"
+        run("gen-data", "--kind", kind, "--n", "12", "--seed", "0", "--out", data)
+        assert run("fit", "--data", data, "--method", method, "--sigma-f", "1",
+                   "--length-scale", "1", *(("--noise", "0.5") if method == "gpr" else ()),
+                   "--save", model) == 0
+        capsys.readouterr()
+        out = tmp_path / "p.csv"
+        assert run("predict", "--model", model, "--points", points, "--out", out) == 1
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
 

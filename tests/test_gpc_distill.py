@@ -21,6 +21,7 @@ from gpdistill.laplace import (
     CONTINUOUS_BERNOULLI,
     BinaryDataset,
     NewtonDidNotConverge,
+    gpc_posterior,
     gpc_predict_latent,
     laplace_marginal_loglik,
     laplace_mode,
@@ -230,7 +231,7 @@ class TestDistributionCentric:
         test_xs = rng.uniform(0, 7, size=(5, 1))
         mu_o, cov_o = gpc_predict_latent(fit, K, data.xs, test_xs, params)
         assert rel_err(steps[0].posterior.mean(test_xs), mu_o) < 1e-10
-        assert rel_err(steps[0].posterior.cov(test_xs), cov_o) < 1e-8
+        assert rel_err(steps[0].posterior.cov(test_xs), cov_o) < 1e-12
 
     def test_two_steps_match_dense_reference(self, rng):
         data, params = binary_instance(rng, n=5)
@@ -333,6 +334,12 @@ class TestScaled:
         K = gram(data.xs, params, add_jitter=True)
         direct = laplace_mode(data.ys, K)
         np.testing.assert_allclose(scaled.fit.f_hat, direct.f_hat, atol=1e-12)
+        # the same fit paired with the same matrix: the same posterior, bit for bit
+        test_xs = rng.uniform(0, 7, size=(5, 1))
+        np.testing.assert_array_equal(
+            scaled.posterior.cov(test_xs),
+            gpc_posterior(direct, K, data.xs, params).cov(test_xs),
+        )
 
     def test_matches_replicated_fit(self, rng):
         data, params = binary_instance(rng, n=6)
