@@ -63,7 +63,6 @@ class _Parser(argparse.ArgumentParser):
 def parse_values(text: str) -> tuple[float, ...]:
     """Comma list ("0.1,0.2") or "linspace:a:b:n" / "logspace:a:b:n", every value finite."""
     text = text.strip()
-    values = None
     for name, fn in (("linspace", np.linspace), ("logspace", np.logspace)):
         if text.startswith(name + ":"):
             parts = text.split(":")
@@ -71,15 +70,16 @@ def parse_values(text: str) -> tuple[float, ...]:
                 raise UsageError(f"expected {name}:start:stop:num, got {text!r}")
             start, stop, num = float(parts[1]), float(parts[2]), int(parts[3])
             with np.errstate(over="ignore"):  # an overflow is reported below as inf
-                values = tuple(fn(start, stop, num))
-    if values is None:
+                values = fn(start, stop, num)
+            break
+    else:
         try:
-            values = tuple(float(v) for v in text.split(","))
+            values = [float(v) for v in text.split(",")]
         except ValueError:
             raise UsageError(f"cannot parse value list {text!r}") from None
     if not np.all(np.isfinite(values)):
         raise UsageError(f"values must be finite, got {text!r}")
-    return values
+    return tuple(values)
 
 
 def _kernel_params(args) -> KernelParams:
