@@ -61,7 +61,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_values(text: str) -> tuple[float, ...]:
-    """Comma list ("0.1,0.2") or "linspace:a:b:n" / "logspace:a:b:n", every value finite."""
+    """Comma list ("0.1,0.2") or "linspace:a:b:n" / "logspace:a:b:n"; one or more finite values."""
     text = text.strip()
     for name, fn in (("linspace", np.linspace), ("logspace", np.logspace)):
         if text.startswith(name + ":"):
@@ -77,6 +77,8 @@ def parse_values(text: str) -> tuple[float, ...]:
             values = [float(v) for v in text.split(",")]
         except ValueError:
             raise UsageError(f"cannot parse value list {text!r}") from None
+    if len(values) == 0:
+        raise UsageError(f"expected at least one value, got {text!r}")
     if not np.all(np.isfinite(values)):
         raise UsageError(f"values must be finite, got {text!r}")
     return tuple(values)

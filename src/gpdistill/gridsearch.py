@@ -4,8 +4,12 @@ A sweep computes the squared-distance matrix of the inputs once. For the
 regression objective, K(sigma_f, l) = sigma_f^2 K_1(l), so each length scale
 is one eigendecomposition of K_1 and one projection p = O^T y, after which a
 (sigma_f, noise) cell is O(N) arithmetic on the scaled, shifted spectrum.
-Classification cells assemble their Gram matrix from the shared distances and
-run a Laplace fit each.
+Classification cells assemble their Gram matrices from the shared distances,
+and the (sigma_f, noise) cells of one length scale run as one stack through
+laplace_modes: one Newton loop over all of them, with each cell's
+factorization still its own. A cell's evidence is its final log posterior
+psi minus half the log-determinant of its curvature factor at the mode, so the
+likelihood is not evaluated again per cell.
 """
 
 from __future__ import annotations
@@ -30,10 +34,11 @@ from .laplace import (
     BERNOULLI,
     CONTINUOUS_BERNOULLI,
     BinaryDataset,
+    CurvatureFactor,
     HessianNotPositiveDefinite,
+    LaplaceFit,
     NewtonDidNotConverge,
-    laplace_marginal_loglik,
-    laplace_mode,
+    laplace_modes,
 )
 
 OBJECTIVES = ("gpr_nll", "gpc_bernoulli_nll", "gpc_cb_nll")
@@ -143,14 +148,51 @@ def gpr_marginal_nll(data: Dataset, params: KernelParams, noise: float) -> float
     return spectrum.nll(params.signal_variance, noise)
 
 
-def _gpc_cell_nll(data: BinaryDataset, sq_dists: np.ndarray, params: KernelParams,
-                  noise: float, objective: str) -> float:
-    likelihood = BERNOULLI if objective == "gpc_bernoulli_nll" else CONTINUOUS_BERNOULLI
-    K = gram_from_distances(sq_dists, params, add_jitter=True)
-    if noise > 0:
-        K = K + noise * np.eye(len(K))
-    fit = laplace_mode(data.ys, K, likelihood=likelihood)
-    return -laplace_marginal_loglik(fit, K, data.ys)
+def _gpr_column(data: Dataset, sq_dists: np.ndarray, length_scale: float,
+                sigma_fs, noises) -> dict:
+    """(sigma_f, noise) -> NLL or numerical error for every cell of one length scale.
+
+    A failed decomposition fails every cell of the column with its error.
+    """
+    try:
+        spectrum = _unit_spectrum(data, sq_dists, length_scale)
+    except NUMERICAL_ERRORS as exc:
+        return {(sigma_f, noise): exc for sigma_f in sigma_fs for noise in noises}
+    column = {}
+    for sigma_f in sigma_fs:
+        for noise in noises:
+            try:
+                column[sigma_f, noise] = spectrum.nll(sigma_f**2, noise)
+            except NUMERICAL_ERRORS as exc:
+                column[sigma_f, noise] = exc
+    return column
+
+
+def _gpc_column(data: BinaryDataset, sq_dists: np.ndarray, length_scale: float,
+                sigma_fs, noises, likelihood: str) -> dict:
+    """(sigma_f, noise) -> NLL or numerical error for every cell of one length scale.
+
+    The cells' Gram matrices are held together and fitted as one stack. A fit's
+    NLL is -(psi at the mode - log|B| / 2), laplace_marginal_loglik bit for bit.
+    """
+    keys = [(sigma_f, noise) for sigma_f in sigma_fs for noise in noises]
+    grams = []
+    for sigma_f, noise in keys:
+        params = KernelParams(signal_variance=sigma_f**2, length_scale=length_scale)
+        K = gram_from_distances(sq_dists, params, add_jitter=True)
+        if noise > 0:
+            K = K + noise * np.eye(len(K))
+        grams.append(K)
+    column = {}
+    for key, K, outcome in zip(keys, grams, laplace_modes(data.ys, grams, likelihood=likelihood)):
+        if isinstance(outcome, LaplaceFit):
+            try:
+                outcome = -(outcome.psi_path[-1]
+                            - 0.5 * CurvatureFactor(K, outcome.w_diag).logdet())
+            except HessianNotPositiveDefinite as exc:
+                outcome = exc
+        column[key] = outcome
+    return column
 
 
 def grid_search(
@@ -165,8 +207,9 @@ def grid_search(
     then the smallest noise, which the iteration order guarantees. Cells whose
     fit fails numerically record +inf and the failure rather than aborting the
     sweep (grid corners frequently break Newton convergence); other errors
-    propagate. For gpr_nll a failed decomposition fails its whole length-scale
-    column with the same error.
+    propagate. Work goes by length scale: for gpr_nll one decomposition, whose
+    failure fails the whole column with the same error; for the classification
+    objectives one stack of Laplace fits.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
@@ -179,34 +222,27 @@ def grid_search(
     noise_axis = grid.noise_values if grid.noise_values is not None else (fixed_noise,)
 
     sq_dists = squared_distances(data.xs, data.xs)
-    # gpr_nll: length scale -> its _UnitSpectrum, or the numerical error that decomposing raised
-    columns: dict[float, _UnitSpectrum | Exception] = {}
-    if objective == "gpr_nll":
-        for length_scale in sorted(set(grid.length_scale_values)):
-            try:
-                columns[length_scale] = _unit_spectrum(data, sq_dists, length_scale)
-            except NUMERICAL_ERRORS as exc:
-                columns[length_scale] = exc
+    sigma_fs, noises = sorted(set(grid.sigma_f_values)), sorted(set(noise_axis))
+    likelihood = BERNOULLI if objective == "gpc_bernoulli_nll" else CONTINUOUS_BERNOULLI
+    # (sigma_f, length scale, noise) -> the cell's NLL or the numerical error that it raised
+    outcomes: dict[tuple[float, float, float], float | Exception] = {}
+    for length_scale in sorted(set(grid.length_scale_values)):
+        if objective == "gpr_nll":
+            column = _gpr_column(data, sq_dists, length_scale, sigma_fs, noises)
+        else:
+            column = _gpc_column(data, sq_dists, length_scale, sigma_fs, noises, likelihood)
+        for (sigma_f, noise), outcome in column.items():
+            outcomes[sigma_f, length_scale, noise] = outcome
 
     cells: list[GridCell] = []
     best: GridCell | None = None
     last_error: Exception | None = None
     for sigma_f in sorted(grid.sigma_f_values):
         for length_scale in sorted(grid.length_scale_values):
-            params = KernelParams(signal_variance=sigma_f**2, length_scale=length_scale)
-            column = columns.get(length_scale)  # None for the classification objectives
             for noise in sorted(noise_axis):
-                nll, error = math.inf, column if isinstance(column, Exception) else None
-                if error is None:
-                    try:
-                        if column is None:
-                            nll = _gpc_cell_nll(data, sq_dists, params, noise, objective)
-                        else:
-                            nll = column.nll(params.signal_variance, noise)
-                    except NUMERICAL_ERRORS as exc:
-                        error = exc
-                if error is not None:
-                    failure, last_error = f"{type(error).__name__}: {error}", error
+                nll = outcomes[sigma_f, length_scale, noise]
+                if isinstance(nll, Exception):
+                    nll, failure, last_error = math.inf, f"{type(nll).__name__}: {nll}", nll
                 elif np.isfinite(nll):
                     failure = ""
                 else:

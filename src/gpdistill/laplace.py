@@ -113,19 +113,49 @@ def _log1pexp(f: np.ndarray) -> np.ndarray:
 
 
 def _loglik_parts(f: np.ndarray, y: np.ndarray, likelihood: str):
-    """(log-likelihood, gradient, curvature) of log p(y | f) at f."""
+    """(log-likelihood, gradient, curvature) of log p(y | f) at each row f of an (..., N) array.
+
+    Each row's sums are its own (a vecdot per row, a sum along the row), so a
+    row's values do not depend on the stack it sits in.
+    """
     sig = expit(f)
-    value = float(y @ f - np.sum(_log1pexp(f)))
+    value = np.vecdot(f, y) - _log1pexp(f).sum(axis=-1)
     grad = y - sig
     curv = sig * (1.0 - sig)
     if likelihood == CONTINUOUS_BERNOULLI:
         terms = cb_terms(f)
-        value += float(np.sum(terms.log_c))
+        value = value + terms.log_c.sum(axis=-1)
         grad = grad + terms.dlog_c
         curv = curv - terms.d2log_c
     elif likelihood != BERNOULLI:
         raise ValueError(f"unknown likelihood {likelihood!r}")
     return value, grad, curv
+
+
+def _log_posterior(f: np.ndarray, alpha: np.ndarray, m: np.ndarray, y: np.ndarray,
+                   likelihood: str):
+    """(psi, gradient, curvature) of (cells, N) rows, psi = log p(y|f) - alpha^T (f - m) / 2.
+
+    psi is a list with one float per row.
+    """
+    value, grad, curv = _loglik_parts(f, y, likelihood)
+    quad = np.vecdot(alpha, f - m)
+    return [v - 0.5 * q for v, q in zip(value.tolist(), quad.tolist())], grad, curv
+
+
+def _matvecs(Ks: list[np.ndarray], vs: np.ndarray) -> np.ndarray:
+    """Row c is Ks[c] @ vs[c]: one 2-D product per cell, never a stacked one."""
+    out = np.empty_like(vs)
+    for row, K in enumerate(Ks):
+        out[row] = K @ vs[row]
+    return out
+
+
+def _without(rows: set[int], *stacks):
+    """Each stack of per-cell rows (a list or an array) without the given rows."""
+    keep = [row for row in range(len(stacks[0])) if row not in rows]
+    return [stack[keep] if isinstance(stack, np.ndarray) else [stack[row] for row in keep]
+            for stack in stacks]
 
 
 def laplace_mode(
@@ -139,78 +169,158 @@ def laplace_mode(
 ) -> LaplaceFit:
     """Find the posterior mode by damped Newton-Raphson (GPML Alg. 3.1 with a prior mean).
 
-    `ys` is the target vector; `K` is the prior
-    covariance at the inputs. The iteration carries alpha with f = K alpha + m,
-    so K is never inverted and need not be positive definite (a duplicated
-    input without jitter is fine). Each iteration builds one CurvatureFactor(K, w) and moves
-    alpha toward b - (K + W^-1)^-1 K b with b = W (f - m) + grad log p.
-    The log posterior is psi = log p(y|f) - alpha^T (f - m) / 2 and its gradient
-    grad log p - alpha.
-    Convergence is declared when the accepted step in f drops below step_tol
-    in the infinity norm, or the gradient of the log posterior below grad_tol,
-    whichever happens first. Steps that would decrease the log posterior are
-    halved (up to MAX_HALVINGS); the likelihoods here are log-concave, so that
-    only guards against overshoot and numerical curvature loss.
+    `ys` is the target vector; `K` is the prior covariance at the inputs. This
+    is the one-cell case of laplace_modes, which describes the iteration; it
+    raises NewtonDidNotConverge or HessianNotPositiveDefinite when the fit fails.
+    """
+    (outcome,) = laplace_modes(ys, (K,), prior_mean, likelihood, max_iters, step_tol, grad_tol)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def laplace_modes(
+    ys,
+    Ks,
+    prior_mean: np.ndarray | None = None,
+    likelihood: str = BERNOULLI,
+    max_iters: int = DEFAULT_MAX_ITERS,
+    step_tol: float = STEP_TOL,
+    grad_tol: float = GRAD_TOL,
+) -> list[LaplaceFit | NewtonDidNotConverge | HessianNotPositiveDefinite]:
+    """Posterior modes of one target vector under each prior covariance of `Ks`, fitted together.
+
+    Returns, for each cell, its LaplaceFit or the exception that its own
+    laplace_mode call raises, bit for bit: the element-wise work and the row
+    sums run once on (cells, N) arrays, while each cell's K @ v products and
+    its CurvatureFactor stay 2-D calls on that cell's matrix. A cell leaves the
+    stack once it converges or fails; the others go on.
+
+    The iteration carries alpha with f = K alpha + m, so K is never inverted and
+    need not be positive definite (a duplicated input without jitter is fine).
+    Each iteration builds one CurvatureFactor(K, w) per cell and moves alpha
+    toward b - (K + W^-1)^-1 K b with b = W (f - m) + grad log p. The log
+    posterior is psi = log p(y|f) - alpha^T (f - m) / 2 and its gradient
+    grad log p - alpha. A cell converges when its accepted step in f drops
+    below step_tol in the infinity norm, or the gradient of its log posterior
+    below grad_tol, whichever happens first. Steps that would decrease the log
+    posterior are halved (up to MAX_HALVINGS); the likelihoods here are
+    log-concave, so that only guards against overshoot and numerical curvature
+    loss.
     """
     y = np.asarray(ys, dtype=float).ravel()
-    K_values = np.asarray(K, dtype=float)
+    Ks = [np.asarray(K, dtype=float) for K in Ks]
     m = np.zeros(len(y)) if prior_mean is None else np.asarray(prior_mean, dtype=float).ravel()
 
-    alpha = np.zeros(len(y))
-    f = m.copy()
-    psi_cur, grad_ll, curv = _loglik_parts(f, y, likelihood)  # alpha = 0: psi = log p
-    psi_path = [psi_cur]
-    converged = False
-    iterations = 0
+    outcomes: list = [None] * len(Ks)
+    # Row r of the state belongs to cell cells[r], and rows leave as their cells
+    # finish. Per-cell scalars are lists, so a small stack pays no numpy call for
+    # them; y and m are stacked too, as a broadcast costs a one-cell stack more
+    # than the arithmetic.
+    cells = list(range(len(Ks)))
+    Y, M = np.empty((len(Ks), len(y))), np.empty((len(Ks), len(y)))
+    Y[:], M[:] = y, m
+    alpha, f = np.zeros_like(M), M.copy()
+    value, grad_ll, curv = _loglik_parts(f, Y, likelihood)  # alpha = 0: psi = log p
+    psi = value.tolist()
+    paths = [[start] for start in psi]
+    grad_norms = np.abs(grad_ll - alpha).max(axis=-1).tolist()
 
-    for iterations in range(1, max_iters + 1):
-        if float(np.max(np.abs(grad_ll - alpha))) < grad_tol:
-            converged = True
-            iterations -= 1
-            break
-        b = curv * (f - m) + grad_ll
-        step = b - CurvatureFactor(K_values, curv).solve(K_values @ b) - alpha
-        eta = 1.0
-        slack = 1e-12 * max(1.0, abs(psi_cur))
-        for _ in range(MAX_HALVINGS + 1):
-            alpha_new = alpha + eta * step
-            f_new = K_values @ alpha_new + m
-            value, grad_new, curv_new = _loglik_parts(f_new, y, likelihood)
-            psi_new = value - 0.5 * float(alpha_new @ (f_new - m))
-            if psi_new >= psi_cur - slack:
-                break
-            eta *= 0.5
-        else:
-            raise HessianNotPositiveDefinite(
-                f"Newton step rejected after {MAX_HALVINGS} halvings at iteration "
-                f"{iterations}; log posterior would decrease from {psi_cur:g} to {psi_new:g}"
-            )
-        f_moved = float(np.max(np.abs(f_new - f)))
-        alpha, f, grad_ll, curv = alpha_new, f_new, grad_new, curv_new
-        psi_cur = psi_new
-        psi_path.append(psi_cur)
-        if f_moved < step_tol:
-            converged = True
-            break
-
-    grad_norm = float(np.max(np.abs(grad_ll - alpha)))
-    if grad_norm < grad_tol:
-        converged = True
-    if not converged:
-        raise NewtonDidNotConverge(
-            f"no convergence after {max_iters} iterations (gradient norm {grad_norm:g})",
-            grad_norm=grad_norm,
+    def fit_of(row: int, iterations: int) -> LaplaceFit:
+        # views: the loop replaces these arrays and never writes to them again
+        return LaplaceFit(
+            f_hat=f[row],
+            w_diag=curv[row],
+            iterations=iterations,
+            likelihood=likelihood,
+            prior_mean_at_train=m,
+            alpha_weights=alpha[row],
+            grad_norm=grad_norms[row],
+            psi_path=tuple(paths[cells[row]]),
         )
-    return LaplaceFit(
-        f_hat=f,
-        w_diag=curv,
-        iterations=iterations,
-        likelihood=likelihood,
-        prior_mean_at_train=m,
-        alpha_weights=alpha,
-        grad_norm=grad_norm,
-        psi_path=tuple(psi_path),
-    )
+
+    # A cell converges after `iterations` steps when the last one moved f by less
+    # than step_tol or left a gradient below grad_tol; the start is checked too.
+    leaving = {row for row, norm in enumerate(grad_norms) if norm < grad_tol}
+    for row in leaving:
+        outcomes[cells[row]] = fit_of(row, 0)
+    iterations = 0
+    for iterations in range(1, max_iters + 1):
+        if len(leaving) == len(cells):
+            break
+        if leaving:
+            cells, psi, grad_norms, Ks, Y, M, alpha, f, grad_ll, curv = _without(
+                leaving, cells, psi, grad_norms, Ks, Y, M, alpha, f, grad_ll, curv)
+        b = curv * (f - M) + grad_ll
+        solved = np.empty_like(b)
+        failed = set()
+        for row, K in enumerate(Ks):
+            try:
+                solved[row] = CurvatureFactor(K, curv[row]).solve(K @ b[row])
+            except HessianNotPositiveDefinite as exc:
+                outcomes[cells[row]] = exc
+                failed.add(row)
+        if failed:
+            cells, psi, Ks, Y, M, alpha, f, grad_ll, curv, b, solved = _without(
+                failed, cells, psi, Ks, Y, M, alpha, f, grad_ll, curv, b, solved)
+            if not cells:
+                break
+
+        step = b - solved - alpha
+        floor = [value - 1e-12 * max(1.0, abs(value)) for value in psi]  # roundoff slack
+        alpha_new = alpha + step  # the full step, eta = 1
+        f_new = _matvecs(Ks, alpha_new) + M
+        psi_new, grad_new, curv_new = _log_posterior(f_new, alpha_new, M, Y, likelihood)
+        stuck = [row for row, value in enumerate(psi_new) if not value >= floor[row]]
+        if stuck:  # halve the rejected cells' steps together
+            rows, row_floor = np.array(stuck), np.array([floor[row] for row in stuck])
+            eta = 1.0
+            for _ in range(MAX_HALVINGS):
+                eta *= 0.5
+                trial_alpha = alpha[rows] + eta * step[rows]
+                trial_f = _matvecs([Ks[row] for row in rows], trial_alpha) + M[rows]
+                trial_psi, trial_grad, trial_curv = _log_posterior(
+                    trial_f, trial_alpha, M[rows], Y[rows], likelihood)
+                trial_psi = np.array(trial_psi)
+                ok = trial_psi >= row_floor
+                done = rows[ok]
+                alpha_new[done], f_new[done] = trial_alpha[ok], trial_f[ok]
+                grad_new[done], curv_new[done] = trial_grad[ok], trial_curv[ok]
+                for row, value in zip(done.tolist(), trial_psi[ok].tolist()):
+                    psi_new[row] = value
+                rows, row_floor, trial_psi = rows[~ok], row_floor[~ok], trial_psi[~ok]
+                if not len(rows):
+                    break
+            for row, value in zip(rows.tolist(), trial_psi.tolist()):
+                outcomes[cells[row]] = HessianNotPositiveDefinite(
+                    f"Newton step rejected after {MAX_HALVINGS} halvings at iteration "
+                    f"{iterations}; log posterior would decrease from {psi[row]:g} to {value:g}"
+                )
+            if len(rows):
+                cells, Ks, Y, M, f, alpha_new, f_new, grad_new, curv_new, psi_new = _without(
+                    set(rows.tolist()), cells, Ks, Y, M, f, alpha_new, f_new, grad_new,
+                    curv_new, psi_new)  # the old alpha, psi and gradients are replaced below
+                if not cells:
+                    break
+
+        f_moved = np.abs(f_new - f).max(axis=-1).tolist()
+        alpha, f, grad_ll, curv, psi = alpha_new, f_new, grad_new, curv_new, psi_new
+        grad_norms = np.abs(grad_ll - alpha).max(axis=-1).tolist()
+        leaving = set()
+        for row, cell in enumerate(cells):
+            paths[cell].append(psi[row])
+            if f_moved[row] < step_tol or grad_norms[row] < grad_tol:
+                outcomes[cell] = fit_of(row, iterations)
+                leaving.add(row)
+
+    for row, cell in enumerate(cells):  # those not converged lived through max_iters iterations
+        if row not in leaving:
+            outcomes[cell] = NewtonDidNotConverge(
+                f"no convergence after {max_iters} iterations "
+                f"(gradient norm {grad_norms[row]:g})",
+                grad_norm=grad_norms[row],
+            )
+    return outcomes
 
 
 class CurvatureFactor:
@@ -322,10 +432,12 @@ def laplace_marginal_loglik(fit: LaplaceFit, K, ys) -> float:
 
     Equals psi(f_hat) + (N/2) log 2pi - (1/2) log|H| with H the negative
     Hessian of the log posterior at the mode; the Gaussian normalizers combine
-    into a single log|I + K W| term taken from the curvature factor.
+    into a single log|I + K W| term taken from the curvature factor. For the
+    targets the fit ran on, psi(f_hat) is fit.psi_path[-1] bit for bit, since
+    the same row sums compute both.
     """
     y = np.asarray(ys, dtype=float).ravel()
-    value, _, _ = _loglik_parts(fit.f_hat, y, fit.likelihood)
-    diff = fit.f_hat - fit.prior_mean_at_train
-    quad = float(fit.alpha_weights @ diff)  # alpha = K^-1 (f_hat - m) at the mode
-    return value - 0.5 * quad - 0.5 * CurvatureFactor(K, fit.w_diag).logdet()
+    # alpha = K^-1 (f_hat - m) at the mode
+    (psi,), _, _ = _log_posterior(fit.f_hat[None], fit.alpha_weights[None],
+                                  fit.prior_mean_at_train, y, fit.likelihood)
+    return psi - 0.5 * CurvatureFactor(K, fit.w_diag).logdet()

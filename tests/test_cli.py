@@ -33,6 +33,13 @@ class TestParseValues:
         with pytest.raises(UsageError):
             parse_values("a,b")
 
+    @pytest.mark.parametrize("text", ["linspace:0:1:0", "logspace:0:1:0"])
+    def test_no_values_rejected(self, text):
+        from gpdistill.experiments.cli import UsageError
+
+        with pytest.raises(UsageError, match="at least one value"):
+            parse_values(text)
+
     @pytest.mark.parametrize("text", ["nan,1", "inf,2", "logspace:0:400:3"])
     def test_non_finite_rejected(self, text):
         from gpdistill.experiments.cli import UsageError
@@ -415,6 +422,17 @@ class TestExitCodes:
         out = tmp_path / "p.csv"
         assert run("predict", "--model", model, "--points", points, "--out", out) == 1
         assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_no_points_is_one_and_writes_nothing(self, tmp_path, capsys):
+        data, model = tmp_path / "data.csv", tmp_path / "m.json"
+        run("gen-data", "--kind", "regression", "--n", "12", "--seed", "0", "--out", data)
+        assert run("fit", "--data", data, "--method", "gpr", "--sigma-f", "1",
+                   "--length-scale", "1", "--noise", "0.5", "--save", model) == 0
+        capsys.readouterr()
+        out = tmp_path / "p.csv"
+        assert run("predict", "--model", model, "--points", "linspace:0:1:0", "--out", out) == 1
+        assert "at least one value" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -135,8 +135,8 @@ class TestCbReduction:
         real_parts = laplace._loglik_parts
         path = []
 
-        def recording(f, y, likelihood):
-            path.append(f.copy())
+        def recording(f, y, likelihood):  # f is the (cells, N) stack, here one cell
+            path.append(f.reshape(-1).copy())
             return real_parts(f, y, likelihood)
 
         monkeypatch.setattr(laplace, "_loglik_parts", recording)

@@ -20,6 +20,7 @@ from gpdistill.laplace import (
     gpc_predict_proba,
     laplace_marginal_loglik,
     laplace_mode,
+    laplace_modes,
     sigmoid_gaussian_mean,
 )
 
@@ -192,6 +193,97 @@ class TestLaplaceMode:
         m = rng.normal(size=len(ys)) * 0.5
         fit = laplace_mode(ys, K, prior_mean=m)
         assert np.max(np.abs(K @ fit.alpha_weights - (fit.f_hat - m))) < 1e-10
+
+
+def outcome_of(fit_call):
+    """A fit, or the numerical error that the call raised."""
+    try:
+        return fit_call()
+    except (NewtonDidNotConverge, HessianNotPositiveDefinite) as exc:
+        return exc
+
+
+def assert_same_outcome(got, expected):
+    assert type(got) is type(expected)
+    if isinstance(expected, Exception):
+        assert str(got) == str(expected)
+        assert getattr(got, "grad_norm", None) == getattr(expected, "grad_norm", None)
+        return
+    for name in ("f_hat", "w_diag", "prior_mean_at_train", "alpha_weights"):
+        assert np.array_equal(getattr(got, name), getattr(expected, name)), name
+    for name in ("iterations", "likelihood", "grad_norm", "psi_path"):
+        assert getattr(got, name) == getattr(expected, name), name
+
+
+class TestLaplaceModes:
+    """A stack of cells runs through one Newton loop; each outcome is its solo fit, bit for bit."""
+
+    MAX_ITERS = 8
+
+    @staticmethod
+    def stack():
+        from gpdistill.experiments.datasets import gen_classification_toy
+
+        toy = gen_classification_toy(0, n=12)
+        # A prior mean of -5 starts every cell where the curvature is small and the
+        # first Newton steps are long. Under MAX_ITERS, (signal variance, length scale)
+        # (0.1, 1) converges in 2 iterations; (10, 1) and (100, 3) converge in 7 and 5,
+        # halving steps, in one round of which one of them accepts and the other does
+        # not; (1e4, 1) needs 13. At the start, B = I - 1e3 W is not positive definite
+        # for K = -1e3 I.
+        grams = [gram(toy.xs, KernelParams(signal_variance=sv, length_scale=ls), add_jitter=True)
+                 for sv, ls in ((0.1, 1.0), (10.0, 1.0), (100.0, 3.0), (1e4, 1.0))]
+        return toy.ys, [*grams, -1e3 * np.eye(toy.n)], np.full(toy.n, -5.0)
+
+    @staticmethod
+    def count_work(monkeypatch) -> dict:
+        """Curvature factorizations (Newton iterations) and log-posterior rows evaluated."""
+        import gpdistill.laplace as laplace
+
+        work = {"factors": 0, "rows": 0}
+        real_posterior = laplace._log_posterior
+
+        class CountingFactor(laplace.CurvatureFactor):
+            def __init__(self, K, w):
+                work["factors"] += 1
+                super().__init__(K, w)
+
+        def counting_posterior(f, *args):
+            work["rows"] += len(f)
+            return real_posterior(f, *args)
+
+        monkeypatch.setattr(laplace, "CurvatureFactor", CountingFactor)
+        monkeypatch.setattr(laplace, "_log_posterior", counting_posterior)
+        return work
+
+    def test_each_cell_is_its_solo_fit(self):
+        ys, grams, m = self.stack()
+        stacked = laplace_modes(ys, grams, prior_mean=m, max_iters=self.MAX_ITERS)
+        assert [type(out) for out in stacked] == [
+            LaplaceFit, LaplaceFit, LaplaceFit, NewtonDidNotConverge, HessianNotPositiveDefinite]
+        assert str(stacked[4]) == "negative Hessian at the mode is not positive definite"
+        for K, got in zip(grams, stacked):
+            solo = outcome_of(lambda: laplace_mode(ys, K, prior_mean=m, max_iters=self.MAX_ITERS))
+            assert_same_outcome(got, solo)
+
+    def test_the_stack_does_the_solo_work(self, monkeypatch):
+        ys, grams, m = self.stack()
+        work = self.count_work(monkeypatch)
+        solo_work = []
+        for K in grams:
+            before = dict(work)
+            outcome_of(lambda: laplace_mode(ys, K, prior_mean=m, max_iters=self.MAX_ITERS))
+            solo_work.append({key: work[key] - before[key] for key in work})
+        # the second and third cells halve steps: they evaluate more points than they take steps
+        assert all(cell["rows"] > cell["factors"] for cell in solo_work[1:3])
+        before = dict(work)
+        laplace_modes(ys, grams, prior_mean=m, max_iters=self.MAX_ITERS)
+        # one factorization per cell per Newton iteration, failed cells included
+        for key in work:
+            assert work[key] - before[key] == sum(cell[key] for cell in solo_work), key
+
+    def test_no_cells_no_outcomes(self):
+        assert laplace_modes(np.ones(3), []) == []
 
 
 class TestPredictLatent:
