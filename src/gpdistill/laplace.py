@@ -4,7 +4,12 @@ Every factorization goes through one CurvatureFactor of (K, w): the Cholesky
 factor of B = I + W^(1/2) K W^(1/2), valid for every w >= 0, which applies
 (K + W^-1)^-1 and gives log|I + K W|. Newton-Raphson mode finding (GPML
 Alg. 3.1) builds one per iteration and carries alpha with f = K alpha + m, so
-neither K^-1 nor W^-1 is ever formed and K need not be invertible. After the
+neither K^-1 nor W^-1 is ever formed and K need not be invertible. The one
+Newton loop, laplace_modes, fits a stack of cells (one target vector under
+several prior covariances, such as a grid's cells at one length scale): the
+element-wise work and the row sums run once on (cells, N) arrays, each cell
+keeps its own factorization and K products, and each cell's outcome is bit
+for bit that of its own fit. laplace_mode is the one-cell case. After the
 mode, the same factor gives the evidence's determinant and, as its square root
 half = L^-1 W^(1/2), the covariance factor of the fit's latent posterior:
 gpc_posterior turns a fit into a gpr.PosteriorGP, and posterior_proba is the
@@ -227,14 +232,13 @@ def laplace_modes(
     grad_norms = np.abs(grad_ll - alpha).max(axis=-1).tolist()
 
     def fit_of(row: int, iterations: int) -> LaplaceFit:
-        # views: the loop replaces these arrays and never writes to them again
         return LaplaceFit(
-            f_hat=f[row],
-            w_diag=curv[row],
+            f_hat=f[row].copy(),
+            w_diag=curv[row].copy(),
             iterations=iterations,
             likelihood=likelihood,
             prior_mean_at_train=m,
-            alpha_weights=alpha[row],
+            alpha_weights=alpha[row].copy(),
             grad_norm=grad_norms[row],
             psi_path=tuple(paths[cells[row]]),
         )
