@@ -5,11 +5,10 @@ regression objective, K(sigma_f, l) = sigma_f^2 K_1(l), so each length scale
 is one eigendecomposition of K_1 and one projection p = O^T y, after which a
 (sigma_f, noise) cell is O(N) arithmetic on the scaled, shifted spectrum.
 Classification cells assemble their Gram matrices from the shared distances,
-and the (sigma_f, noise) cells of one length scale run in stacks through
-laplace_modes: one Newton loop over all cells of a stack, with each cell's
-factorization still its own. A stack takes the whole length scale unless its
-Grams would pass _STACK_BYTES. A cell's evidence is its final log posterior
-psi minus half the log-determinant of its curvature factor at the mode, so the
+and the (sigma_f, noise) cells of one length scale run as one stack through
+laplace_modes: one Newton loop over all cells of the stack, with each cell's
+factorization still its own. A cell's evidence is its final log posterior psi
+minus half the log-determinant of its curvature factor at the mode, so the
 likelihood is not evaluated again per cell.
 """
 
@@ -169,43 +168,31 @@ def _gpr_column(data: Dataset, sq_dists: np.ndarray, length_scale: float,
     return column
 
 
-# A stack holds its cells' Gram matrices at once. Stacking shares the per-element
-# work, which is most of a small cell's cost. A large cell's cost is its O(N^3)
-# factorizations, and holding many Grams costs fresh memory: at N=300 a whole
-# 16-cell length scale (11.5 MB) took 5% more minor page faults than one Gram at
-# a time, and stacks of two took as many as the one-cell fits.
-_STACK_BYTES = 2**21
-
-
 def _gpc_column(data: BinaryDataset, sq_dists: np.ndarray, length_scale: float,
                 sigma_fs, noises, likelihood: str) -> dict:
     """(sigma_f, noise) -> NLL or numerical error for every cell of one length scale.
 
-    The cells are fitted in stacks that hold at most _STACK_BYTES of Gram
-    matrices (a whole length scale at a time for small N). A fit's NLL is
-    -(psi at the mode - log|B| / 2), laplace_marginal_loglik bit for bit.
+    The cells are fitted as one stack, which holds |sigma_f| * |noise| Gram
+    matrices at once. A fit's NLL is -(psi at the mode - log|B| / 2),
+    laplace_marginal_loglik bit for bit.
     """
     keys = [(sigma_f, noise) for sigma_f in sigma_fs for noise in noises]
-    per_stack = max(1, _STACK_BYTES // sq_dists.nbytes)  # an N x N Gram's bytes
+    grams = []
+    for sigma_f, noise in keys:
+        params = KernelParams(signal_variance=sigma_f**2, length_scale=length_scale)
+        K = gram_from_distances(sq_dists, params, add_jitter=True)
+        if noise > 0:
+            K = K + noise * np.eye(len(K))
+        grams.append(K)
     column = {}
-    for start in range(0, len(keys), per_stack):
-        stack = keys[start:start + per_stack]
-        grams = []
-        for sigma_f, noise in stack:
-            params = KernelParams(signal_variance=sigma_f**2, length_scale=length_scale)
-            K = gram_from_distances(sq_dists, params, add_jitter=True)
-            if noise > 0:
-                K = K + noise * np.eye(len(K))
-            grams.append(K)
-        for key, K, outcome in zip(stack, grams,
-                                   laplace_modes(data.ys, grams, likelihood=likelihood)):
-            if isinstance(outcome, LaplaceFit):
-                try:
-                    outcome = -(outcome.psi_path[-1]
-                                - 0.5 * CurvatureFactor(K, outcome.w_diag).logdet())
-                except HessianNotPositiveDefinite as exc:
-                    outcome = exc
-            column[key] = outcome
+    for key, K, outcome in zip(keys, grams, laplace_modes(data.ys, grams, likelihood=likelihood)):
+        if isinstance(outcome, LaplaceFit):
+            try:
+                outcome = -(outcome.psi_path[-1]
+                            - 0.5 * CurvatureFactor(K, outcome.w_diag).logdet())
+            except HessianNotPositiveDefinite as exc:
+                outcome = exc
+        column[key] = outcome
     return column
 
 
@@ -223,7 +210,7 @@ def grid_search(
     sweep (grid corners frequently break Newton convergence); other errors
     propagate. Work goes by length scale: for gpr_nll one decomposition, whose
     failure fails the whole column with the same error; for the classification
-    objectives stacks of Laplace fits.
+    objectives one stack of Laplace fits.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")

@@ -295,14 +295,10 @@ class TestSharedSpectrum:
         grid_search(gen_classification_toy(0, n=15), spec, objective="gpc_bernoulli_nll")
         assert calls == []
 
-    def test_gpc_stacks_hold_at_most_the_gram_budget(self, monkeypatch):
+    def test_gpc_cells_of_a_length_scale_are_one_stack(self, monkeypatch):
         import gpdistill.gridsearch as gs
         from gpdistill.experiments.datasets import gen_classification_toy
 
-        data = gen_classification_toy(0, n=15)
-        spec = GridSpec(sigma_f_values=(0.5, 1.0, 2.0), length_scale_values=(0.5, 2.0),
-                        noise_values=(1e-3, 0.5))
-        whole = gs.grid_search(data, spec, objective="gpc_cb_nll").cells
         real = gs.laplace_modes
         stacks = []
 
@@ -311,13 +307,10 @@ class TestSharedSpectrum:
             return real(ys, grams, **kwargs)
 
         monkeypatch.setattr(gs, "laplace_modes", recording)
-        gram_bytes = 15 * 15 * 8
-        for budget, sizes in ((None, [6, 6]), (2 * gram_bytes, [2] * 6), (1, [1] * 12)):
-            if budget is not None:
-                monkeypatch.setattr(gs, "_STACK_BYTES", budget)
-            stacks.clear()
-            assert gs.grid_search(data, spec, objective="gpc_cb_nll").cells == whole
-            assert stacks == sizes
+        spec = GridSpec(sigma_f_values=(0.5, 1.0, 2.0), length_scale_values=(0.5, 2.0),
+                        noise_values=(1e-3, 0.5))
+        gs.grid_search(gen_classification_toy(0, n=15), spec, objective="gpc_cb_nll")
+        assert stacks == [6, 6]
 
 
 class TestCellFailures:
