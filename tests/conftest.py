@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from gpdistill.laplace import HessianNotPositiveDefinite, NewtonDidNotConverge
+
 
 def rel_err(actual, expected) -> float:
     """Norm-relative error, safe when the reference is (near) zero."""
@@ -8,6 +10,27 @@ def rel_err(actual, expected) -> float:
     expected = np.asarray(expected, dtype=float)
     denom = max(np.linalg.norm(expected), 1e-300)
     return float(np.linalg.norm(actual - expected) / denom)
+
+
+def outcome_of(fit_call):
+    """A fit, or the numerical error that the call raised."""
+    try:
+        return fit_call()
+    except (NewtonDidNotConverge, HessianNotPositiveDefinite) as exc:
+        return exc
+
+
+def assert_same_outcome(got, expected):
+    """The same Laplace outcome: every LaplaceFit field, or the exception's type, message and grad_norm."""
+    assert type(got) is type(expected)
+    if isinstance(expected, Exception):
+        assert str(got) == str(expected)
+        assert getattr(got, "grad_norm", None) == getattr(expected, "grad_norm", None)
+        return
+    for name in ("f_hat", "w_diag", "prior_mean_at_train", "alpha_weights"):
+        assert np.array_equal(getattr(got, name), getattr(expected, name)), name
+    for name in ("iterations", "likelihood", "grad_norm", "psi_path"):
+        assert getattr(got, name) == getattr(expected, name), name
 
 
 @pytest.fixture

@@ -5,7 +5,7 @@ from scipy.optimize import brentq
 from scipy.special import expit
 from scipy.stats import norm
 
-from conftest import rel_err
+from conftest import assert_same_outcome, outcome_of, rel_err
 from gpdistill.cont_bernoulli import cb_terms
 from gpdistill.kernels import KernelParams, gram, kernel_matrix
 from gpdistill.laplace import (
@@ -195,26 +195,6 @@ class TestLaplaceMode:
         assert np.max(np.abs(K @ fit.alpha_weights - (fit.f_hat - m))) < 1e-10
 
 
-def outcome_of(fit_call):
-    """A fit, or the numerical error that the call raised."""
-    try:
-        return fit_call()
-    except (NewtonDidNotConverge, HessianNotPositiveDefinite) as exc:
-        return exc
-
-
-def assert_same_outcome(got, expected):
-    assert type(got) is type(expected)
-    if isinstance(expected, Exception):
-        assert str(got) == str(expected)
-        assert getattr(got, "grad_norm", None) == getattr(expected, "grad_norm", None)
-        return
-    for name in ("f_hat", "w_diag", "prior_mean_at_train", "alpha_weights"):
-        assert np.array_equal(getattr(got, name), getattr(expected, name)), name
-    for name in ("iterations", "likelihood", "grad_norm", "psi_path"):
-        assert getattr(got, name) == getattr(expected, name), name
-
-
 class TestLaplaceModes:
     """A stack of cells runs through one Newton loop; each outcome is its solo fit, bit for bit."""
 
@@ -230,10 +210,11 @@ class TestLaplaceModes:
         # (0.1, 1) converges in 2 iterations; (10, 1) and (100, 3) converge in 7 and 5,
         # halving steps, in one round of which one of them accepts and the other does
         # not; (1e4, 1) needs 13. At the start, B = I - 1e3 W is not positive definite
-        # for K = -1e3 I.
+        # for K = -1e3 I. For K = -0.5 I, B = I - 0.5 W stays positive definite, but
+        # every halving of the first step still lowers the log posterior.
         grams = [gram(toy.xs, KernelParams(signal_variance=sv, length_scale=ls), add_jitter=True)
                  for sv, ls in ((0.1, 1.0), (10.0, 1.0), (100.0, 3.0), (1e4, 1.0))]
-        return toy.ys, [*grams, -1e3 * np.eye(toy.n)], np.full(toy.n, -5.0)
+        return toy.ys, [*grams, -1e3 * np.eye(toy.n), -0.5 * np.eye(toy.n)], np.full(toy.n, -5.0)
 
     @staticmethod
     def count_work(monkeypatch) -> dict:
@@ -260,8 +241,10 @@ class TestLaplaceModes:
         ys, grams, m = self.stack()
         stacked = laplace_modes(ys, grams, prior_mean=m, max_iters=self.MAX_ITERS)
         assert [type(out) for out in stacked] == [
-            LaplaceFit, LaplaceFit, LaplaceFit, NewtonDidNotConverge, HessianNotPositiveDefinite]
+            LaplaceFit, LaplaceFit, LaplaceFit, NewtonDidNotConverge, HessianNotPositiveDefinite,
+            HessianNotPositiveDefinite]
         assert str(stacked[4]) == "negative Hessian at the mode is not positive definite"
+        assert str(stacked[5]).startswith("Newton step rejected after 30 halvings at iteration 1;")
         for K, got in zip(grams, stacked):
             solo = outcome_of(lambda: laplace_mode(ys, K, prior_mean=m, max_iters=self.MAX_ITERS))
             assert_same_outcome(got, solo)
@@ -281,6 +264,17 @@ class TestLaplaceModes:
         # one factorization per cell per Newton iteration, failed cells included
         for key in work:
             assert work[key] - before[key] == sum(cell[key] for cell in solo_work), key
+
+    @pytest.mark.parametrize("max_iters", [0, 100])
+    def test_a_stack_can_converge_at_the_start(self, max_iters):
+        # targets sigma(m) make the gradient at f = m zero: every cell is done at iteration 0
+        _, grams, _ = self.stack()
+        m = np.full(len(grams[0]), 0.3)
+        ys = expit(m)
+        stacked = laplace_modes(ys, grams, prior_mean=m, max_iters=max_iters)
+        assert [out.iterations for out in stacked] == [0] * len(grams)
+        for K, got in zip(grams, stacked):
+            assert_same_outcome(got, laplace_mode(ys, K, prior_mean=m, max_iters=max_iters))
 
     def test_no_cells_no_outcomes(self):
         assert laplace_modes(np.ones(3), []) == []

@@ -4,11 +4,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rel_err
+from conftest import assert_same_outcome, outcome_of, rel_err
 from gpdistill.gpr import Dataset, fit_gpr, predict_gpr
 from gpdistill.gridsearch import NUMERICAL_ERRORS
 from gpdistill.kernels import KernelParams, gram, kernel_matrix
-from gpdistill.laplace import BERNOULLI, CONTINUOUS_BERNOULLI, laplace_mode
+from gpdistill.laplace import BERNOULLI, CONTINUOUS_BERNOULLI, laplace_mode, laplace_modes
 
 
 @st.composite
@@ -79,3 +79,37 @@ def test_regression_fit_matches_dense_solve(problem):
     assert np.max(np.abs(cov - cov_o)) <= 1e-10 * sv
     assert np.all(np.diag(cov) <= sv)
     assert np.max(np.abs(model.var(test_xs) - np.diag(cov))) <= 1e-10 * sv
+
+
+@st.composite
+def stacks(draw):
+    """One target vector under several Grams, some indefinite, with a random prior mean."""
+    n = draw(st.integers(3, 39))
+    cells = draw(st.integers(1, 7))
+    likelihood = draw(st.sampled_from((BERNOULLI, CONTINUOUS_BERNOULLI)))
+    max_iters = draw(st.sampled_from((0, 1, 2, 3, 100)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    xs = rng.uniform(-5.0, 5.0, size=(n, 1))
+    if likelihood == BERNOULLI:
+        ys = (rng.uniform(size=n) < 0.5).astype(float)
+    else:
+        ys = rng.uniform(size=n)
+    grams = []
+    for _ in range(cells):
+        params = KernelParams(signal_variance=10.0 ** rng.uniform(-2.0, 4.0),
+                              length_scale=10.0 ** rng.uniform(-1.0, 1.0))
+        K = gram(xs, params, add_jitter=True)
+        if rng.uniform() < 0.1:  # indefinite: B fails to factor, or a step is rejected
+            K = K - rng.choice((2.0, 20.0)) * np.eye(n)
+        grams.append(K)
+    return ys, grams, rng.normal(scale=2.0, size=n), likelihood, max_iters
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(stacks())
+def test_each_stacked_cell_is_its_solo_fit(stack):
+    ys, grams, m, likelihood, max_iters = stack
+    stacked = laplace_modes(ys, grams, prior_mean=m, likelihood=likelihood, max_iters=max_iters)
+    for K, got in zip(grams, stacked, strict=True):
+        assert_same_outcome(got, outcome_of(lambda: laplace_mode(
+            ys, K, prior_mean=m, likelihood=likelihood, max_iters=max_iters)))
