@@ -281,7 +281,10 @@ def _cmd_reproduce(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    steps = tuple(int(s) for s in parse_values(args.steps))
+    values = parse_values(args.steps)
+    if not all(v >= 1 and v == int(v) for v in values):
+        raise UsageError(f"--steps must be whole numbers of at least 1, got {args.steps!r}")
+    steps = tuple(int(v) for v in values)
     methods = tuple(args.methods.split(",")) if args.methods else BENCH_METHODS
     cells = bench_fit_scaling(steps=steps, reps=args.reps, n_train=args.n_train, seed=args.seed,
                               methods=methods)

@@ -75,11 +75,10 @@ class GpcDistillConfig:
 
 @dataclass(frozen=True)
 class DataCentricGpcStep:
-    """One step of a data-centric chain: its fit, the Gram it used, and its targets."""
+    """One step of a data-centric chain: its fit, the Gram it used, and its predictions."""
 
     fit: LaplaceFit
     gram_values: np.ndarray
-    train_targets: np.ndarray
     predicted: np.ndarray  # predictions at the training inputs, per target_kind
 
 
@@ -124,11 +123,7 @@ def data_centric_gpc(
                 f"step {t} of {config.steps} failed: {exc}", grad_norm=exc.grad_norm
             ) from exc
         predicted = _step_predictions(fit, K_t, xs, params, config.target_kind)
-        steps.append(
-            DataCentricGpcStep(
-                fit=fit, gram_values=K_t, train_targets=targets, predicted=predicted
-            )
-        )
+        steps.append(DataCentricGpcStep(fit=fit, gram_values=K_t, predicted=predicted))
         targets = predicted
     return steps
 

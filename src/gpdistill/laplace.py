@@ -9,7 +9,10 @@ Newton loop, laplace_modes, fits a stack of cells (one target vector under
 several prior covariances, such as a grid's cells at one length scale): the
 element-wise work and the row sums run once on (cells, N) arrays, each cell
 keeps its own factorization and K products, and each cell's outcome is bit
-for bit that of its own fit. laplace_mode is the one-cell case. After the
+for bit that of its own fit. One check per pass gives a cell its outcome (a
+fit, halvings that ran out, or max_iters reached), a failed factorization
+gives one at once, and the cells with an outcome leave the stack through one
+filter. laplace_mode is the one-cell case. After the
 mode, the same factor gives the evidence's determinant and, as its square root
 half = L^-1 W^(1/2), the covariance factor of the fit's latent posterior:
 gpc_posterior turns a fit into a gpr.PosteriorGP, and posterior_proba is the
@@ -18,7 +21,8 @@ distillation chains alike.
 The same machinery serves the ordinary Bernoulli likelihood and the continuous
 Bernoulli variant used for distillation targets in [0, 1]; the latter only adds
 the closed-form normalizer terms to the log-likelihood, its gradient, and its
-curvature.
+curvature. Such targets come as a BinaryDataset, a gpr.Dataset whose targets
+lie in [0, 1].
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from scipy.linalg import solve_triangular
 from scipy.special import expit
 
 from .cont_bernoulli import cb_terms
-from .gpr import PosteriorGP
+from .gpr import Dataset, PosteriorGP
 from .kernels import KernelParams, as_points
 
 BERNOULLI = "bernoulli"
@@ -63,28 +67,13 @@ class HessianNotPositiveDefinite(RuntimeError):
 
 
 @dataclass(frozen=True)
-class BinaryDataset:
-    """Inputs with targets in [0, 1]."""
-
-    xs: np.ndarray
-    ys: np.ndarray
+class BinaryDataset(Dataset):
+    """A Dataset whose targets lie in [0, 1]."""
 
     def __post_init__(self):
-        object.__setattr__(self, "xs", as_points(self.xs))
-        ys = np.asarray(self.ys, dtype=float).ravel()
-        object.__setattr__(self, "ys", ys)
-        if len(self.xs) != len(ys):
-            raise ValueError(f"{len(self.xs)} inputs but {len(ys)} targets")
-        if len(ys) < 1:
-            raise ValueError("dataset must contain at least one observation")
-        if np.any(np.isnan(ys)) or not np.all(np.isfinite(self.xs)):
-            raise ValueError("inputs and targets must be finite")
-        if np.any(ys < 0.0) or np.any(ys > 1.0):
+        super().__post_init__()
+        if np.any(self.ys < 0.0) or np.any(self.ys > 1.0):
             raise ValueError("classification targets must lie in [0, 1]")
-
-    @property
-    def n(self) -> int:
-        return len(self.ys)
 
     @property
     def strictly_binary(self) -> bool:
@@ -156,11 +145,16 @@ def _matvecs(Ks: list[np.ndarray], vs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _without(rows: set[int], *stacks):
-    """Each stack of per-cell rows (a list or an array) without the given rows."""
-    keep = [row for row in range(len(stacks[0])) if row not in rows]
+def _unfinished(outcomes: list, cells: list[int], *stacks):
+    """cells and each stack of their rows (a list or an array), for the cells without an outcome.
+
+    None once every cell has an outcome, so the last cell to leave costs no empty stacks.
+    """
+    keep = [row for row, cell in enumerate(cells) if outcomes[cell] is None]
+    if not keep:
+        return None
     return [stack[keep] if isinstance(stack, np.ndarray) else [stack[row] for row in keep]
-            for stack in stacks]
+            for stack in (cells, *stacks)]
 
 
 def laplace_mode(
@@ -199,7 +193,7 @@ def laplace_modes(
     laplace_mode call raises, bit for bit: the element-wise work and the row
     sums run once on (cells, N) arrays, while each cell's K @ v products and
     its CurvatureFactor stay 2-D calls on that cell's matrix. A cell leaves the
-    stack once it converges or fails; the others go on.
+    stack once it has an outcome; the others go on.
 
     The iteration carries alpha with f = K alpha + m, so K is never inverted and
     need not be positive definite (a duplicated input without jitter is fine).
@@ -219,8 +213,8 @@ def laplace_modes(
 
     outcomes: list = [None] * len(Ks)
     # Row r of the state belongs to cell cells[r], and rows leave as their cells
-    # finish. Per-cell scalars are lists, so a small stack pays no numpy call for
-    # them; y and m are stacked too, as a broadcast costs a one-cell stack more
+    # get outcomes. Per-cell scalars are lists, so a small stack pays no numpy call
+    # for them; y and m are stacked too, as a broadcast costs a one-cell stack more
     # than the arithmetic.
     cells = list(range(len(Ks)))
     Y, M = np.empty((len(Ks), len(y))), np.empty((len(Ks), len(y)))
@@ -228,47 +222,57 @@ def laplace_modes(
     alpha, f = np.zeros_like(M), M.copy()
     value, grad_ll, curv = _loglik_parts(f, Y, likelihood)  # alpha = 0: psi = log p
     psi = value.tolist()
-    paths = [[start] for start in psi]
-    grad_norms = np.abs(grad_ll - alpha).max(axis=-1).tolist()
+    paths: list[list[float]] = [[] for _ in Ks]
+    iterations, floor, f_moved = 0, [], []  # no step yet: the start checks only the gradient
+    while cells:
+        # The one check, after each step and at the start: a cell is done when every
+        # halving of its step was rejected, when the step moved f by less than
+        # step_tol or left a gradient below grad_tol, or after max_iters steps.
+        grad_norms = np.abs(grad_ll - alpha).max(axis=-1).tolist()
+        for row, cell in enumerate(cells):
+            if iterations and not psi[row] >= floor[row]:
+                outcomes[cell] = HessianNotPositiveDefinite(
+                    f"Newton step rejected after {MAX_HALVINGS} halvings at iteration {iterations}; "
+                    f"log posterior would decrease from {paths[cell][-1]:g} to {psi[row]:g}")
+                continue
+            paths[cell].append(psi[row])
+            if iterations and f_moved[row] < step_tol or grad_norms[row] < grad_tol:
+                outcomes[cell] = LaplaceFit(
+                    f_hat=f[row].copy(),
+                    w_diag=curv[row].copy(),
+                    iterations=iterations,
+                    likelihood=likelihood,
+                    prior_mean_at_train=m,
+                    alpha_weights=alpha[row].copy(),
+                    grad_norm=grad_norms[row],
+                    psi_path=tuple(paths[cell]),
+                )
+            elif iterations >= max_iters:
+                outcomes[cell] = NewtonDidNotConverge(
+                    f"no convergence after {max_iters} iterations "
+                    f"(gradient norm {grad_norms[row]:g})",
+                    grad_norm=grad_norms[row],
+                )
+        if any(outcomes[cell] is not None for cell in cells):
+            kept = _unfinished(outcomes, cells, Ks, Y, M, alpha, f, grad_ll, curv, psi)
+            if kept is None:
+                return outcomes
+            cells, Ks, Y, M, alpha, f, grad_ll, curv, psi = kept
 
-    def fit_of(row: int, iterations: int) -> LaplaceFit:
-        return LaplaceFit(
-            f_hat=f[row].copy(),
-            w_diag=curv[row].copy(),
-            iterations=iterations,
-            likelihood=likelihood,
-            prior_mean_at_train=m,
-            alpha_weights=alpha[row].copy(),
-            grad_norm=grad_norms[row],
-            psi_path=tuple(paths[cells[row]]),
-        )
-
-    # A cell converges after `iterations` steps when the last one moved f by less
-    # than step_tol or left a gradient below grad_tol; the start is checked too.
-    leaving = {row for row, norm in enumerate(grad_norms) if norm < grad_tol}
-    for row in leaving:
-        outcomes[cells[row]] = fit_of(row, 0)
-    iterations = 0
-    for iterations in range(1, max_iters + 1):
-        if len(leaving) == len(cells):
-            break
-        if leaving:
-            cells, psi, grad_norms, Ks, Y, M, alpha, f, grad_ll, curv = _without(
-                leaving, cells, psi, grad_norms, Ks, Y, M, alpha, f, grad_ll, curv)
+        iterations += 1
         b = curv * (f - M) + grad_ll
         solved = np.empty_like(b)
-        failed = set()
+        failed = False
         for row, K in enumerate(Ks):
             try:
                 solved[row] = CurvatureFactor(K, curv[row]).solve(K @ b[row])
             except HessianNotPositiveDefinite as exc:
-                outcomes[cells[row]] = exc
-                failed.add(row)
-        if failed:
-            cells, psi, Ks, Y, M, alpha, f, grad_ll, curv, b, solved = _without(
-                failed, cells, psi, Ks, Y, M, alpha, f, grad_ll, curv, b, solved)
-            if not cells:
-                break
+                outcomes[cells[row]], failed = exc, True
+        if failed:  # such a cell leaves before its full step is evaluated
+            kept = _unfinished(outcomes, cells, Ks, Y, M, alpha, f, grad_ll, curv, psi, b, solved)
+            if kept is None:
+                return outcomes
+            cells, Ks, Y, M, alpha, f, grad_ll, curv, psi, b, solved = kept
 
         step = b - solved - alpha
         floor = [value - 1e-12 * max(1.0, abs(value)) for value in psi]  # roundoff slack
@@ -285,45 +289,18 @@ def laplace_modes(
                 trial_f = _matvecs([Ks[row] for row in rows], trial_alpha) + M[rows]
                 trial_psi, trial_grad, trial_curv = _log_posterior(
                     trial_f, trial_alpha, M[rows], Y[rows], likelihood)
-                trial_psi = np.array(trial_psi)
-                ok = trial_psi >= row_floor
+                for row, value in zip(rows.tolist(), trial_psi):
+                    psi_new[row] = value  # the last trial stays when every one is rejected
+                ok = np.array(trial_psi) >= row_floor
                 done = rows[ok]
                 alpha_new[done], f_new[done] = trial_alpha[ok], trial_f[ok]
                 grad_new[done], curv_new[done] = trial_grad[ok], trial_curv[ok]
-                for row, value in zip(done.tolist(), trial_psi[ok].tolist()):
-                    psi_new[row] = value
-                rows, row_floor, trial_psi = rows[~ok], row_floor[~ok], trial_psi[~ok]
+                rows, row_floor = rows[~ok], row_floor[~ok]
                 if not len(rows):
-                    break
-            for row, value in zip(rows.tolist(), trial_psi.tolist()):
-                outcomes[cells[row]] = HessianNotPositiveDefinite(
-                    f"Newton step rejected after {MAX_HALVINGS} halvings at iteration "
-                    f"{iterations}; log posterior would decrease from {psi[row]:g} to {value:g}"
-                )
-            if len(rows):
-                cells, Ks, Y, M, f, alpha_new, f_new, grad_new, curv_new, psi_new = _without(
-                    set(rows.tolist()), cells, Ks, Y, M, f, alpha_new, f_new, grad_new,
-                    curv_new, psi_new)  # the old alpha, psi and gradients are replaced below
-                if not cells:
                     break
 
         f_moved = np.abs(f_new - f).max(axis=-1).tolist()
         alpha, f, grad_ll, curv, psi = alpha_new, f_new, grad_new, curv_new, psi_new
-        grad_norms = np.abs(grad_ll - alpha).max(axis=-1).tolist()
-        leaving = set()
-        for row, cell in enumerate(cells):
-            paths[cell].append(psi[row])
-            if f_moved[row] < step_tol or grad_norms[row] < grad_tol:
-                outcomes[cell] = fit_of(row, iterations)
-                leaving.add(row)
-
-    for row, cell in enumerate(cells):  # those not converged lived through max_iters iterations
-        if row not in leaving:
-            outcomes[cell] = NewtonDidNotConverge(
-                f"no convergence after {max_iters} iterations "
-                f"(gradient norm {grad_norms[row]:g})",
-                grad_norm=grad_norms[row],
-            )
     return outcomes
 
 

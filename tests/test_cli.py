@@ -172,6 +172,14 @@ class TestExitCodes:
         assert "reps must be at least 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("steps", ["1.7,2.2", "0", "-1"])
+    def test_bench_steps_must_be_whole_and_positive(self, tmp_path, capsys, steps):
+        out = tmp_path / "timing.csv"
+        assert run("bench", "--steps", steps, "--reps", "1", "--n-train", "20",
+                   "--methods", "gpr-dist", "--out", out) == 1
+        assert "--steps must be whole numbers of at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_usage_error_is_one(self, capsys):
         assert run("fit", "--method", "nonsense") == 1
         assert "usage error" in capsys.readouterr().err

@@ -4,7 +4,7 @@ from scipy.special import expit
 
 import gpdistill.gpc_distill as gpc_distill
 import gpdistill.laplace as laplace
-from conftest import rel_err
+from conftest import assert_same_outcome, rel_err
 from gpdistill.cont_bernoulli import cb_terms
 from gpdistill.gpc_distill import (
     GpcDistillConfig,
@@ -89,7 +89,10 @@ class TestDataCentric:
                 np.testing.assert_array_equal(pred, (chain[0].fit.f_hat >= 0).astype(float))
             if kind == "latent_sigmoid":
                 np.testing.assert_allclose(pred, expit(chain[0].fit.f_hat), atol=1e-12)
-            np.testing.assert_array_equal(chain[1].train_targets, pred)
+            # step 2 is the continuous-Bernoulli fit to step 1's predictions
+            K = gram(data.xs, params, add_jitter=True)
+            assert_same_outcome(chain[1].fit,
+                                laplace_mode(pred, K, likelihood=CONTINUOUS_BERNOULLI))
 
     def test_reg_gamma_enters_gram_diagonal(self, rng):
         data, params = binary_instance(rng)

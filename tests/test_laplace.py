@@ -59,6 +59,7 @@ class TestBinaryDataset:
 
     @pytest.mark.parametrize("xs, ys", [
         ([[0.0], [1.0]], [0.0, np.nan]),
+        ([[0.0], [1.0]], [0.0, np.inf]),
         ([[0.0], [np.nan]], [0.0, 1.0]),
         ([[0.0], [np.inf]], [0.0, 1.0]),
     ])
