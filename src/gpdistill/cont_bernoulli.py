@@ -65,22 +65,25 @@ def cb_terms(a) -> CbTerms:
     small = s < _LATENT_SERIES_CUTOFF
     s_safe = np.where(small, 1.0, s)
 
-    # All tail-safe: e^{-s} in (0, 1) keeps every term finite for any s.
-    em = np.exp(-s_safe)
-    em2 = em * em
-    csch = 2.0 * em / (1.0 - em2)  # 1/sinh(s)
-    coth = (1.0 + em2) / (1.0 - em2)
+    # Past |a| ~ 1e77 the series below, which np.where then discards, overflows, and past
+    # ~1e154 so does s^2, whose reciprocal 0 is the limit of -1/a^2: neither is an error.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # All tail-safe: e^{-s} in (0, 1) keeps every term finite for any s.
+        em = np.exp(-s_safe)
+        em2 = em * em
+        csch = 2.0 * em / (1.0 - em2)  # 1/sinh(s)
+        coth = (1.0 + em2) / (1.0 - em2)
 
-    log_c_direct = np.log(s_safe) + np.log1p(em) - np.log1p(-em)
-    dlog_c_direct = np.sign(a_arr) * (1.0 / s_safe - csch)
-    d2log_c_direct = -1.0 / s_safe**2 + csch * coth
+        log_c_direct = np.log(s_safe) + np.log1p(em) - np.log1p(-em)
+        dlog_c_direct = np.sign(a_arr) * (1.0 / s_safe - csch)
+        d2log_c_direct = -1.0 / s_safe**2 + csch * coth
 
-    a2 = a_arr * a_arr
-    # (a/2) coth(a/2) = 1 + v with v = a^2/12 - a^4/720 + a^6/30240 - ...
-    v = a2 / 12.0 - a2 * a2 / 720.0
-    log_c_series = LOG2 + v - 0.5 * v * v
-    dlog_c_series = a_arr * (1.0 / 6.0 - 7.0 * a2 / 360.0 + 31.0 * a2 * a2 / 15120.0)
-    d2log_c_series = 1.0 / 6.0 - 7.0 * a2 / 120.0 + 31.0 * a2 * a2 / 3024.0
+        a2 = a_arr * a_arr
+        # (a/2) coth(a/2) = 1 + v with v = a^2/12 - a^4/720 + a^6/30240 - ...
+        v = a2 / 12.0 - a2 * a2 / 720.0
+        log_c_series = LOG2 + v - 0.5 * v * v
+        dlog_c_series = a_arr * (1.0 / 6.0 - 7.0 * a2 / 360.0 + 31.0 * a2 * a2 / 15120.0)
+        d2log_c_series = 1.0 / 6.0 - 7.0 * a2 / 120.0 + 31.0 * a2 * a2 / 3024.0
 
     log_c = np.where(small, log_c_series, log_c_direct)
     dlog_c = np.where(small, dlog_c_series, dlog_c_direct)

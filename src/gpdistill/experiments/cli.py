@@ -69,7 +69,8 @@ def parse_values(text: str) -> tuple[float, ...]:
             if len(parts) != 4:
                 raise UsageError(f"expected {name}:start:stop:num, got {text!r}")
             start, stop, num = float(parts[1]), float(parts[2]), int(parts[3])
-            with np.errstate(over="ignore"):  # an overflow is reported below as inf
+            # an overflow, or inf - inf in the spacing, is reported below as not finite
+            with np.errstate(over="ignore", invalid="ignore"):
                 values = fn(start, stop, num)
             break
     else:

@@ -150,11 +150,15 @@ class SpectralDecomp:
     """Eigendecomposition K = O diag(eigenvalues) O^T with eigenvalues sorted non-increasing.
 
     Eigenvalues are clamped to be non-negative (see spectral_decompose), so the
-    shifted solves below are well-defined whenever shift > 0.
+    shifted solves below are well-defined whenever shift > 0. `clamped` counts
+    the eigenvalues that were raised to 0, and `most_negative` is the smallest
+    of them before the clamp (0.0 when none was).
     """
 
     eigenvectors: np.ndarray  # columns are eigenvectors
     eigenvalues: np.ndarray
+    clamped: int = 0
+    most_negative: float = 0.0
 
     @property
     def n(self) -> int:
@@ -201,4 +205,6 @@ def spectral_decompose(K) -> SpectralDecomp:
             f"eigenvalue {eigvals[-1]:g} below -{EIG_CLAMP_REL:g} * lambda_max ({lam_max:g}); "
             "matrix is not PSD"
         )
-    return SpectralDecomp(eigenvectors=eigvecs, eigenvalues=np.maximum(eigvals, 0.0))
+    clamped = int(np.count_nonzero(eigvals < 0.0))
+    return SpectralDecomp(eigenvectors=eigvecs, eigenvalues=np.maximum(eigvals, 0.0),
+                          clamped=clamped, most_negative=float(eigvals[-1]) if clamped else 0.0)

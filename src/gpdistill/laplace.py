@@ -32,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 from scipy.special import expit
 
 from .cont_bernoulli import cb_terms
@@ -100,6 +100,7 @@ class LaplaceFit:
     alpha_weights: np.ndarray
     grad_norm: float
     psi_path: tuple[float, ...]
+    halvings: tuple[int, ...]  # step halvings per iteration, one entry per iteration
 
 
 def _log1pexp(f: np.ndarray) -> np.ndarray:
@@ -223,7 +224,9 @@ def laplace_modes(
     value, grad_ll, curv = _loglik_parts(f, Y, likelihood)  # alpha = 0: psi = log p
     psi = value.tolist()
     paths: list[list[float]] = [[] for _ in Ks]
-    iterations, floor, f_moved = 0, [], []  # no step yet: the start checks only the gradient
+    halvings: list[list[int]] = [[] for _ in Ks]
+    # no step yet: the start checks only the gradient
+    iterations, floor, f_moved, halved = 0, [], [], []
     while cells:
         # The one check, after each step and at the start: a cell is done when every
         # halving of its step was rejected, when the step moved f by less than
@@ -236,6 +239,8 @@ def laplace_modes(
                     f"log posterior would decrease from {paths[cell][-1]:g} to {psi[row]:g}")
                 continue
             paths[cell].append(psi[row])
+            if iterations:
+                halvings[cell].append(halved[row])
             if iterations and f_moved[row] < step_tol or grad_norms[row] < grad_tol:
                 outcomes[cell] = LaplaceFit(
                     f_hat=f[row].copy(),
@@ -246,6 +251,7 @@ def laplace_modes(
                     alpha_weights=alpha[row].copy(),
                     grad_norm=grad_norms[row],
                     psi_path=tuple(paths[cell]),
+                    halvings=tuple(halvings[cell]),
                 )
             elif iterations >= max_iters:
                 outcomes[cell] = NewtonDidNotConverge(
@@ -279,6 +285,7 @@ def laplace_modes(
         alpha_new = alpha + step  # the full step, eta = 1
         f_new = _matvecs(Ks, alpha_new) + M
         psi_new, grad_new, curv_new = _log_posterior(f_new, alpha_new, M, Y, likelihood)
+        halved = [0] * len(psi_new)  # read at the next check, before any row leaves
         stuck = [row for row, value in enumerate(psi_new) if not value >= floor[row]]
         if stuck:  # halve the rejected cells' steps together
             rows, row_floor = np.array(stuck), np.array([floor[row] for row in stuck])
@@ -291,6 +298,7 @@ def laplace_modes(
                     trial_f, trial_alpha, M[rows], Y[rows], likelihood)
                 for row, value in zip(rows.tolist(), trial_psi):
                     psi_new[row] = value  # the last trial stays when every one is rejected
+                    halved[row] += 1
                 ok = np.array(trial_psi) >= row_floor
                 done = rows[ok]
                 alpha_new[done], f_new[done] = trial_alpha[ok], trial_f[ok]
@@ -309,24 +317,30 @@ class CurvatureFactor:
 
     It is the Cholesky factor L of B = I + W^(1/2) K W^(1/2), which is positive
     definite for every w >= 0 when K is positive semi-definite (GPML Alg. 3.1);
-    a zero weight only leaves a unit row and column. Then
+    a zero weight only leaves a unit row and column. B is built in place in one
+    N x N array (the scaled K, then 1 added on the diagonal) and factored by
+    numpy's Cholesky. A vector is solved with two calls of LAPACK's triangular
+    solve trtrs against L, in the layout scipy's solve_triangular passes for
+    it, without that wrapper's checks. Then
     (K + W^-1)^-1 = W^(1/2) B^-1 W^(1/2) = half^T half with half = L^-1 W^(1/2),
     the square-root factor a PosteriorGP stores, formed on first use with
     numpy's inverse: multi-column triangular solves through scipy's separately
-    bundled BLAS contended with numpy's thread pool on two cores. A vector is
-    solved with two triangular solves against L. Neither K^-1 nor W^-1 is ever formed, so K
-    need not be invertible. A negative weight, or a B that is not positive
-    definite, raises HessianNotPositiveDefinite.
+    bundled BLAS contended with numpy's thread pool on two cores. Neither K^-1
+    nor W^-1 is ever formed, so K need not be invertible. A negative weight, or
+    a B that is not positive definite, raises HessianNotPositiveDefinite.
     """
 
     def __init__(self, K, w: np.ndarray):
         K_values = np.asarray(K, dtype=float)
         w = np.asarray(w, dtype=float)
-        if not np.all(w >= 0.0):
+        if not (w >= 0.0).all():
             raise HessianNotPositiveDefinite(f"{_NOT_PD}: curvature weights must be >= 0")
         self.sw = np.sqrt(w)
+        B = np.multiply(self.sw[:, None], K_values)
+        B *= self.sw
+        B.flat[::len(w) + 1] += 1.0
         try:
-            self.chol = np.linalg.cholesky(np.eye(len(w)) + self.sw[:, None] * K_values * self.sw)
+            self.chol = np.linalg.cholesky(B)
         except np.linalg.LinAlgError as exc:
             raise HessianNotPositiveDefinite(_NOT_PD) from exc
 
@@ -337,13 +351,30 @@ class CurvatureFactor:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """(K + W^-1)^-1 @ rhs for an (N,) right-hand side."""
-        half = solve_triangular(self.chol, self.sw * rhs, lower=True, check_finite=False)
-        return self.sw * solve_triangular(self.chol, half, lower=True, trans="T",
-                                          check_finite=False)
+        half = _solve_chol(self.chol, self.sw * rhs, transposed=False)
+        return self.sw * _solve_chol(self.chol, half, transposed=True)
 
     def logdet(self) -> float:
         """log|I + K W| = log|B|, the evidence's determinant piece."""
         return 2.0 * float(np.sum(np.log(np.diag(self.chol))))
+
+
+def _solve_chol(chol: np.ndarray, rhs: np.ndarray, transposed: bool) -> np.ndarray:
+    """x with L x = rhs, or L^T x = rhs when transposed, for the lower-triangular L = chol.
+
+    LAPACK reads chol.T, for numpy's C-ordered factor the same memory in
+    Fortran order, as the upper factor U = L^T, so L x = rhs is the transposed
+    solve U^T x = rhs: the call scipy's solve_triangular makes. rhs is
+    overwritten. As there, a zero on the diagonal raises LinAlgError.
+    """
+    if not rhs.size:  # LAPACK rejects an empty system; solve_triangular returns it
+        return rhs
+    x, info = dtrtrs(chol.T, rhs, lower=0, trans=0 if transposed else 1, overwrite_b=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal trtrs")
+    return x
 
 
 def gpc_posterior(fit: LaplaceFit, K, train_xs, params: KernelParams) -> PosteriorGP:

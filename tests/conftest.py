@@ -29,7 +29,7 @@ def assert_same_outcome(got, expected):
         return
     for name in ("f_hat", "w_diag", "prior_mean_at_train", "alpha_weights"):
         assert np.array_equal(getattr(got, name), getattr(expected, name)), name
-    for name in ("iterations", "likelihood", "grad_norm", "psi_path"):
+    for name in ("iterations", "likelihood", "grad_norm", "psi_path", "halvings"):
         assert getattr(got, name) == getattr(expected, name), name
 
 

@@ -1,11 +1,23 @@
+import contextlib
 import csv
+import io
 import json
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpdistill.experiments.cli import main, parse_values
-from gpdistill.experiments.datasets import load_regression_csv
+from gpdistill.experiments.datasets import (
+    gen_classification_toy,
+    gen_regression_toy,
+    load_regression_csv,
+    write_dataset_csv,
+)
 from gpdistill.kernels import KernelParams, gram
 
 
@@ -495,3 +507,78 @@ class TestReproduceDeterminism:
         assert manifest["schedule"] == list(np.linspace(0.1, 1.0, 10))
         assert "kernel" in manifest and "selection" in manifest["kernel"]
         assert manifest["dataset"]["kind"] == "generated"
+
+
+# one value of an axis or of --noise: usual, near the ends of the float range, or not
+# positive and finite; and value lists that do not parse or give no usable values
+_USUAL_VALUES = ("0.01", "0.5", "1", "3", "100")
+_EXTREME_VALUES = ("1e300", "1e-300")
+_BAD_VALUES = ("0", "-1", "-1e300", "-1e-300", "nan", "inf", "-inf")
+_MALFORMED_LISTS = ("", ",", "1,,2", "a,b", "1;2", "linspace:1:2", "logspace:0:1:x",
+                    "linspace:0:1:0", "linspace:0:1:-1", "logspace:-300:300:3",
+                    "logspace:0:400:2", "linspace:1e308:-1e308:3", "linspace:nan:1:2")
+
+
+@st.composite
+def grid_search_argvs(draw):
+    """grid-search argv over drawn axes, objective, noise flags and data file; and the data's
+    kind, its row count, and whether its last input repeats its first.
+
+    The draws come from a seeded generator with fixed odds, so that most argv reach the
+    fits. Values go in as --flag=value, so a negative one reaches the command, not
+    argparse's option matching.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def value() -> str:
+        pool = (_USUAL_VALUES, _EXTREME_VALUES, _BAD_VALUES)[rng.choice(3, p=(0.7, 0.15, 0.15))]
+        return str(rng.choice(pool))
+
+    def value_list() -> str:
+        if rng.uniform() < 0.15:
+            return str(rng.choice(_MALFORMED_LISTS))
+        return ",".join(value() for _ in range(rng.integers(1, 4)))
+
+    objective = str(rng.choice(("gpr", "gpc-bernoulli", "gpc-cb")))
+    fitting = "regression" if objective == "gpr" else "classification"
+    other = "classification" if objective == "gpr" else "regression"
+    data = str(rng.choice((fitting, other, "missing"), p=(0.8, 0.1, 0.1)))
+    argv = ["grid-search", "--data", "data.csv", "--out", "grid.csv", "--objective", objective]
+    for flag in ("--sigma-f-grid", "--length-scale-grid"):
+        if rng.uniform() < 0.8:  # else the 16-value default axis
+            argv.append(f"{flag}={value_list()}")
+    noise = rng.choice(("neither", "grid", "fixed", "both"), p=(0.3, 0.3, 0.3, 0.1))
+    if noise in ("grid", "both"):
+        argv.append(f"--noise-grid={value_list()}")
+    if noise in ("fixed", "both"):
+        argv.append(f"--noise={value()}")
+    return argv, data, int(rng.integers(1, 11)), bool(rng.uniform() < 0.3)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(grid_search_argvs())
+def test_grid_search_contract(case):
+    """Any drawn argv exits 0, 1 or 2, prints no traceback, warns nothing, and writes
+    no output when it fails."""
+    argv, data, n, duplicated = case
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        if data != "missing":
+            toy = (gen_classification_toy(0, n=n) if data == "classification"
+                   else gen_regression_toy(0, n=n))
+            xs = toy.xs.copy()
+            if duplicated:  # the last input repeats the first
+                xs[-1] = xs[0]
+            write_dataset_csv(root / "data.csv", xs, toy.ys)
+        argv = [str(root / a) if a in ("data.csv", "grid.csv") else a for a in argv]
+        stderr = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            code = main(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in stderr.getvalue()
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], \
+            [str(w.message) for w in caught]
+        if code != 0:
+            assert not (root / "grid.csv").exists()

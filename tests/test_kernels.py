@@ -157,6 +157,19 @@ class TestSpectralDecompose:
         with pytest.raises(IndefiniteKernelError):
             spectral_decompose(np.diag([1.0, -0.5]))
 
+    def test_clamp_diagnostics(self):
+        # the 1-D toy on [0, 10] at N=100: about half the spectrum is roundoff below 0
+        K = gram(np.linspace(0.0, 10.0, 100), KernelParams(1.0, 1.0))
+        raw = np.linalg.eigh(K)[0]
+        d = spectral_decompose(K)
+        assert d.clamped == np.count_nonzero(raw < 0.0) > 0
+        assert d.most_negative == raw.min() < 0.0
+        assert np.count_nonzero(d.eigenvalues == 0.0) >= d.clamped
+
+    def test_no_clamp_reports_zero(self):
+        d = spectral_decompose(np.diag([3.0, 1.0, 0.0]))
+        assert (d.clamped, d.most_negative) == (0, 0.0)
+
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
             spectral_decompose(np.array([[1.0, 0.2], [0.1, 1.0]]))

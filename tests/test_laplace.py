@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import solve_triangular
 from scipy.optimize import brentq
 from scipy.special import expit
 from scipy.stats import norm
@@ -277,6 +278,18 @@ class TestLaplaceModes:
         for K, got in zip(grams, stacked):
             assert_same_outcome(got, laplace_mode(ys, K, prior_mean=m, max_iters=max_iters))
 
+    def test_halvings_count_the_rejected_trials(self, monkeypatch):
+        ys, grams, m = self.stack()
+        work = self.count_work(monkeypatch)
+        for K in grams[1:3]:  # the cells that halve steps and converge
+            before = work["rows"]
+            fit = laplace_mode(ys, K, prior_mean=m, max_iters=self.MAX_ITERS)
+            assert len(fit.halvings) == fit.iterations
+            assert any(fit.halvings)
+            # one full step per iteration and one trial per halving (the start, at
+            # alpha = 0, reads the likelihood alone)
+            assert work["rows"] - before == fit.iterations + sum(fit.halvings)
+
     def test_no_cells_no_outcomes(self):
         assert laplace_modes(np.ones(3), []) == []
 
@@ -319,6 +332,7 @@ class TestPredictLatent:
             f_hat=fit.f_hat, w_diag=w, iterations=fit.iterations,
             likelihood=fit.likelihood, prior_mean_at_train=fit.prior_mean_at_train,
             alpha_weights=fit.alpha_weights, grad_norm=fit.grad_norm, psi_path=fit.psi_path,
+            halvings=fit.halvings,
         )
         test_xs = rng.uniform(0, 7, size=(4, 1))
         _, cov = gpc_predict_latent(hacked, K, xs, test_xs, params)
@@ -373,6 +387,58 @@ class TestCurvatureFactor:
         w[2] = -1e-3
         with pytest.raises(HessianNotPositiveDefinite):
             CurvatureFactor(K, w)
+
+    @staticmethod
+    def literal(K, w):
+        """chol, solve, logdet and half as first written: B from np.eye and two products,
+        and scipy's triangular solves."""
+        sw = np.sqrt(w)
+        chol = np.linalg.cholesky(np.eye(len(w)) + sw[:, None] * K * sw)
+
+        def solve(rhs):
+            half = solve_triangular(chol, sw * rhs, lower=True, check_finite=False)
+            return sw * solve_triangular(chol, half, lower=True, trans="T", check_finite=False)
+
+        return chol, solve, 2.0 * float(np.sum(np.log(np.diag(chol)))), np.linalg.inv(chol) * sw
+
+    @staticmethod
+    def duplicated_gram(rng):
+        xs = rng.uniform(0.0, 5.0, size=30)
+        xs[7] = xs[3]
+        K = gram(xs, KernelParams(signal_variance=2.0, length_scale=1.5), add_jitter=True)
+        return K, rng.uniform(0.0, 0.25, size=30)
+
+    @pytest.mark.parametrize("n", [1, 2, 40, 300])
+    @pytest.mark.parametrize("zeros", [False, True])
+    def test_bit_for_bit_the_literal_factor(self, n, zeros):
+        rng = np.random.default_rng(n)
+        A = rng.normal(size=(n, n))
+        K = A @ A.T * rng.uniform(0.1, 10.0)
+        w = rng.uniform(0.0, 0.25, size=n)
+        if zeros:
+            w[::3] = 0.0
+        self.assert_literal(K, w, rng)
+
+    def test_bit_for_bit_on_a_duplicated_input(self, rng):
+        K, w = self.duplicated_gram(rng)
+        self.assert_literal(K, w, rng)
+
+    def assert_literal(self, K, w, rng):
+        chol, solve, logdet, half = self.literal(K, w)
+        factor = CurvatureFactor(K, w)
+        assert np.array_equal(factor.chol, chol)
+        for _ in range(3):
+            rhs = rng.normal(size=len(w))
+            assert np.array_equal(factor.solve(rhs), solve(rhs))
+        assert factor.logdet() == logdet
+        assert np.array_equal(factor.half, half)
+
+    def test_solve_with_a_zero_on_the_diagonal_raises(self):
+        factor = CurvatureFactor(np.eye(3), np.ones(3))
+        factor.chol = np.tril(np.ones((3, 3)))
+        factor.chol[1, 1] = 0.0
+        with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+            factor.solve(np.ones(3))
 
     @pytest.mark.parametrize("w", [np.array([1.0, 1.0]), np.array([1.0, 0.0])])
     def test_failed_factorization_raises(self, w):
@@ -454,6 +520,7 @@ class TestMarginalLoglik:
             f_hat=fit.f_hat, w_diag=w, iterations=fit.iterations,
             likelihood=fit.likelihood, prior_mean_at_train=fit.prior_mean_at_train,
             alpha_weights=fit.alpha_weights, grad_norm=fit.grad_norm, psi_path=fit.psi_path,
+            halvings=fit.halvings,
         )
         with pytest.raises(HessianNotPositiveDefinite):
             laplace_marginal_loglik(bad, K, ys)
