@@ -2,22 +2,25 @@
 
 Every factorization goes through one CurvatureFactor of (K, w): the Cholesky
 factor of B = I + W^(1/2) K W^(1/2), valid for every w >= 0, which applies
-(K + W^-1)^-1 and gives log|I + K W|. Newton-Raphson mode finding (GPML
-Alg. 3.1) builds one per iteration and carries alpha with f = K alpha + m, so
-neither K^-1 nor W^-1 is ever formed and K need not be invertible. The one
-Newton loop, laplace_modes, fits a stack of cells (one target vector under
-several prior covariances, such as a grid's cells at one length scale): the
-element-wise work and the row sums run once on (cells, N) arrays, each cell
-keeps its own factorization and K products, and each cell's outcome is bit
-for bit that of its own fit. One check per pass gives a cell its outcome (a
-fit, halvings that ran out, or max_iters reached), a failed factorization
-gives one at once, and the cells with an outcome leave the stack through one
-filter. laplace_mode is the one-cell case. After the
-mode, the same factor gives the evidence's determinant and, as its square root
-half = L^-1 W^(1/2), the covariance factor of the fit's latent posterior:
-gpc_posterior turns a fit into a gpr.PosteriorGP, and posterior_proba is the
-one place a latent posterior becomes class probabilities, for plain fits and
-distillation chains alike.
+(K + W^-1)^-1 and gives log|I + K W|. B is built in place in one N x N array,
+and a vector is solved by two calls of LAPACK's triangular solve trtrs, so a
+small factor costs little beyond its LAPACK work. Newton-Raphson mode finding
+(GPML Alg. 3.1) builds one per iteration and carries alpha with
+f = K alpha + m, so neither K^-1 nor W^-1 is ever formed and K need not be
+invertible. The one Newton loop, laplace_modes, fits a stack of cells (one
+target vector under several prior covariances, such as a grid's cells at one
+length scale): the element-wise work and the row sums run once on (cells, N)
+arrays, each cell keeps its own factorization and K products, and each cell's
+outcome is bit for bit that of its own fit. One check per pass gives a cell
+its outcome (a fit, halvings that ran out, or max_iters reached), a failed
+factorization gives one at once, and the cells with an outcome leave the stack
+through one filter. laplace_mode is the one-cell case. A fit records its log
+posterior at the start and after each iteration, and the step halvings each
+iteration took. After the mode, the same factor gives the evidence's
+determinant and, as its square root half = L^-1 W^(1/2), the covariance factor
+of the fit's latent posterior: gpc_posterior turns a fit into a
+gpr.PosteriorGP, and posterior_proba is the one place a latent posterior
+becomes class probabilities, for plain fits and distillation chains alike.
 The same machinery serves the ordinary Bernoulli likelihood and the continuous
 Bernoulli variant used for distillation targets in [0, 1]; the latter only adds
 the closed-form normalizer terms to the log-likelihood, its gradient, and its
@@ -89,7 +92,9 @@ class LaplaceFit:
     for the Bernoulli likelihood, minus the normalizer's second derivative for
     the continuous Bernoulli. alpha_weights is the alpha that Newton carries,
     so K alpha = f_hat - m holds by construction and predictions never touch
-    K^-1.
+    K^-1. psi_path is the log posterior at the start and after each iteration;
+    halvings holds, per iteration, how often its step was halved before it was
+    accepted.
     """
 
     f_hat: np.ndarray
@@ -100,7 +105,7 @@ class LaplaceFit:
     alpha_weights: np.ndarray
     grad_norm: float
     psi_path: tuple[float, ...]
-    halvings: tuple[int, ...]  # step halvings per iteration, one entry per iteration
+    halvings: tuple[int, ...]
 
 
 def _log1pexp(f: np.ndarray) -> np.ndarray:
