@@ -388,26 +388,6 @@ class TestCurvatureFactor:
         with pytest.raises(HessianNotPositiveDefinite):
             CurvatureFactor(K, w)
 
-    @staticmethod
-    def literal(K, w):
-        """chol, solve, logdet and half as first written: B from np.eye and two products,
-        and scipy's triangular solves."""
-        sw = np.sqrt(w)
-        chol = np.linalg.cholesky(np.eye(len(w)) + sw[:, None] * K * sw)
-
-        def solve(rhs):
-            half = solve_triangular(chol, sw * rhs, lower=True, check_finite=False)
-            return sw * solve_triangular(chol, half, lower=True, trans="T", check_finite=False)
-
-        return chol, solve, 2.0 * float(np.sum(np.log(np.diag(chol)))), np.linalg.inv(chol) * sw
-
-    @staticmethod
-    def duplicated_gram(rng):
-        xs = rng.uniform(0.0, 5.0, size=30)
-        xs[7] = xs[3]
-        K = gram(xs, KernelParams(signal_variance=2.0, length_scale=1.5), add_jitter=True)
-        return K, rng.uniform(0.0, 0.25, size=30)
-
     @pytest.mark.parametrize("n", [1, 2, 40, 300])
     @pytest.mark.parametrize("zeros", [False, True])
     def test_bit_for_bit_the_literal_factor(self, n, zeros):
@@ -420,18 +400,26 @@ class TestCurvatureFactor:
         self.assert_literal(K, w, rng)
 
     def test_bit_for_bit_on_a_duplicated_input(self, rng):
-        K, w = self.duplicated_gram(rng)
-        self.assert_literal(K, w, rng)
+        xs = rng.uniform(0.0, 5.0, size=30)
+        xs[7] = xs[3]
+        K = gram(xs, KernelParams(signal_variance=2.0, length_scale=1.5), add_jitter=True)
+        self.assert_literal(K, rng.uniform(0.0, 0.25, size=30), rng)
 
-    def assert_literal(self, K, w, rng):
-        chol, solve, logdet, half = self.literal(K, w)
+    @staticmethod
+    def assert_literal(K, w, rng):
+        """chol, solve, logdet and half equal the factor as first written: B from np.eye
+        and two products, and scipy's triangular solves."""
+        sw = np.sqrt(w)
+        chol = np.linalg.cholesky(np.eye(len(w)) + sw[:, None] * K * sw)
         factor = CurvatureFactor(K, w)
         assert np.array_equal(factor.chol, chol)
         for _ in range(3):
             rhs = rng.normal(size=len(w))
-            assert np.array_equal(factor.solve(rhs), solve(rhs))
-        assert factor.logdet() == logdet
-        assert np.array_equal(factor.half, half)
+            half = solve_triangular(chol, sw * rhs, lower=True, check_finite=False)
+            expected = sw * solve_triangular(chol, half, lower=True, trans="T", check_finite=False)
+            assert np.array_equal(factor.solve(rhs), expected)
+        assert factor.logdet() == 2.0 * float(np.sum(np.log(np.diag(chol))))
+        assert np.array_equal(factor.half, np.linalg.inv(chol) * sw)
 
     def test_solve_with_a_zero_on_the_diagonal_raises(self):
         factor = CurvatureFactor(np.eye(3), np.ones(3))
