@@ -187,5 +187,5 @@ def predict_from_artifact(artifact: ModelArtifact, test_xs) -> np.ndarray:
     K = gram(train_xs, params, add_jitter=True)
     K[np.diag_indices_from(K)] += float(payload.get("diag_shift", 0.0))
     w = np.asarray(payload["w_diag"], dtype=float)
-    gp = PosteriorGP(train_xs, params, alpha, CurvatureFactor(K, w).half)
+    gp = PosteriorGP(train_xs, params, alpha, CurvatureFactor(K, w))
     return posterior_proba(gp, pts, "quadrature")

@@ -38,6 +38,7 @@ from ..gpc_distill import (
     data_centric_gpc,
     distribution_centric_gpc_iterated,
     distribution_centric_gpc_scaled,
+    duplication_gap,
     posterior_proba,
 )
 from ..gridsearch import GridSpec, grid_search
@@ -389,7 +390,8 @@ def _gpc_dist_ten_step(config: ExperimentConfig) -> Run:
                              ["step", "x", "probability_iterated", "probability_scaled"], columns),
         "approximation_error": Table("approximation_error.csv", ["step", "mse"],
                                      [np.arange(1, len(errors) + 1), errors]),
-    }, {"steps": steps, "probability_method": proba_method, "test_grid": GPC_TEST_GRID})
+    }, {"steps": steps, "probability_method": proba_method, "test_grid": GPC_TEST_GRID,
+        "duplication_gap": duplication_gap(iterated, scaled, problem.params.jitter).tolist()})
 
 
 def _grid_search(config: ExperimentConfig) -> Run:

@@ -1,12 +1,15 @@
 """Ordinary Gaussian process regression: fit and posterior predictive.
 
 Every posterior, regression or classification, fit or chain, is a PosteriorGP:
-weights and a square-root factor R of the inner matrix M = R^T R.
+weights and a square-root factor R of the inner matrix M = R^T R. A Laplace
+posterior may hold its curvature factor instead, and forms R from it only when
+a variance is first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -18,6 +21,9 @@ from .kernels import (
     kernel_matrix,
     spectral_decompose,
 )
+
+if TYPE_CHECKING:
+    from .laplace import CurvatureFactor
 
 
 @dataclass(frozen=True)
@@ -55,12 +61,19 @@ class PosteriorGP:
     record stays the same size however deep the chain is, and evaluating it
     costs the same at every step. Without weights and factor it is the prior
     GP(0, k). cov(a) and var(a) clamp the diagonal at 0 to absorb roundoff.
+
+    The factor may also be deferred: an object whose `.half` is R, such as
+    the laplace.CurvatureFactor that laplace.gpc_posterior hands over. The
+    first cov, var or condition (through root_factor) forms R from it and
+    stores R in its place, so the record holds one N x N factor either way,
+    every output is the same bit for bit, and a posterior that is only read
+    through its mean never pays the O(N^3) inverse.
     """
 
     train_xs: np.ndarray
     params: KernelParams
     weights: np.ndarray | None = None
-    factor: np.ndarray | None = None
+    factor: np.ndarray | CurvatureFactor | None = None
 
     def __post_init__(self):
         pts = as_points(self.train_xs)
@@ -70,9 +83,15 @@ class PosteriorGP:
         if self.factor is None:
             object.__setattr__(self, "factor", np.zeros((0, len(pts))))
 
+    def root_factor(self) -> np.ndarray:
+        """R, formed from a deferred factor's .half on first use and kept in its place."""
+        if not isinstance(self.factor, np.ndarray):
+            object.__setattr__(self, "factor", self.factor.half)
+        return self.factor
+
     def _root(self, pts: np.ndarray) -> np.ndarray:
         """H = R k(X, pts), shape (r, len(pts))."""
-        return self.factor @ kernel_matrix(self.train_xs, pts, self.params)
+        return self.root_factor() @ kernel_matrix(self.train_xs, pts, self.params)
 
     def mean(self, xs) -> np.ndarray:
         pts = as_points(xs)
@@ -103,7 +122,7 @@ class PosteriorGP:
         the R of a QR decomposition of S replaces, so R stays at most N x N.
         """
         K = kernel_matrix(self.train_xs, self.train_xs, self.params)
-        R = self.factor
+        R = self.root_factor()
         weights = self.weights + alpha - R.T @ (R @ (K @ alpha))
         stacked = np.vstack([R, factor - ((factor @ K) @ R.T) @ R])
         return replace(self, weights=weights, factor=np.linalg.qr(stacked, mode="r"))

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
+from .counters import COUNTS
+
 DEFAULT_JITTER = 1e-8
 
 # Negative eigenvalues within this fraction of the top eigenvalue are treated
@@ -194,6 +196,7 @@ def spectral_decompose(K) -> SpectralDecomp:
         scale = np.max(np.abs(values))
         if scale > 0 and np.max(np.abs(values - values.T)) > 1e-12 * scale:
             raise ValueError("matrix is not symmetric to within 1e-12 relative tolerance")
+    COUNTS["eighs"] += 1
     eigvals, eigvecs = np.linalg.eigh(values)
     order = np.argsort(eigvals)[::-1]
     eigvals = eigvals[order]

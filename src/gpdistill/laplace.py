@@ -39,6 +39,7 @@ from scipy.linalg.lapack import dtrtrs
 from scipy.special import expit
 
 from .cont_bernoulli import cb_terms
+from .counters import COUNTS
 from .gpr import Dataset, PosteriorGP
 from .kernels import KernelParams, as_points
 
@@ -208,7 +209,10 @@ def laplace_modes(
     posterior is psi = log p(y|f) - alpha^T (f - m) / 2 and its gradient
     grad log p - alpha. A cell converges when its accepted step in f drops
     below step_tol in the infinity norm, or the gradient of its log posterior
-    below grad_tol, whichever happens first. Steps that would decrease the log
+    below grad_tol, whichever happens first. A Newton step that is exactly zero
+    while the gradient is at or above grad_tol is not convergence but a step
+    lost to roundoff (a prior variance near the float range does this at
+    f = 0): the cell ends as NewtonDidNotConverge, naming the vanished step. Steps that would decrease the log
     posterior are halved (up to MAX_HALVINGS); the likelihoods here are
     log-concave, so that only guards against overshoot and numerical curvature
     loss.
@@ -234,8 +238,10 @@ def laplace_modes(
     iterations, floor, f_moved, halved = 0, [], [], []
     while cells:
         # The one check, after each step and at the start: a cell is done when every
-        # halving of its step was rejected, when the step moved f by less than
-        # step_tol or left a gradient below grad_tol, or after max_iters steps.
+        # halving of its step was rejected, when its Newton step was exactly zero
+        # with the gradient still at or above grad_tol (a failure), when the step
+        # moved f by less than step_tol or left a gradient below grad_tol, or after
+        # max_iters steps.
         grad_norms = np.abs(grad_ll - alpha).max(axis=-1).tolist()
         for row, cell in enumerate(cells):
             if iterations and not psi[row] >= floor[row]:
@@ -246,7 +252,14 @@ def laplace_modes(
             paths[cell].append(psi[row])
             if iterations:
                 halvings[cell].append(halved[row])
-            if iterations and f_moved[row] < step_tol or grad_norms[row] < grad_tol:
+            if (iterations and f_moved[row] < step_tol and grad_norms[row] >= grad_tol
+                    and not step[row].any()):  # the Newton step itself was exactly zero
+                outcomes[cell] = NewtonDidNotConverge(
+                    f"Newton step vanished at iteration {iterations}: f did not move "
+                    f"(gradient norm {grad_norms[row]:g})",
+                    grad_norm=grad_norms[row],
+                )
+            elif iterations and f_moved[row] < step_tol or grad_norms[row] < grad_tol:
                 outcomes[cell] = LaplaceFit(
                     f_hat=f[row].copy(),
                     w_diag=curv[row].copy(),
@@ -271,6 +284,7 @@ def laplace_modes(
             cells, Ks, Y, M, alpha, f, grad_ll, curv, psi = kept
 
         iterations += 1
+        COUNTS["newton_iterations"] += len(cells)
         b = curv * (f - M) + grad_ll
         solved = np.empty_like(b)
         failed = False
@@ -344,6 +358,7 @@ class CurvatureFactor:
         B = np.multiply(self.sw[:, None], K_values)
         B *= self.sw
         B.flat[::len(w) + 1] += 1.0
+        COUNTS["curvature_factors"] += 1
         try:
             self.chol = np.linalg.cholesky(B)
         except np.linalg.LinAlgError as exc:
@@ -352,6 +367,7 @@ class CurvatureFactor:
     @cached_property
     def half(self) -> np.ndarray:
         """L^-1 W^(1/2), an (N, N) factor with half^T half = (K + W^-1)^-1."""
+        COUNTS["inverses"] += 1
         return np.linalg.inv(self.chol) * self.sw
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -392,7 +408,7 @@ def gpc_posterior(fit: LaplaceFit, K, train_xs, params: KernelParams) -> Posteri
     because w is that fit's curvature; params give the kernel between test and
     training points.
     """
-    return PosteriorGP(train_xs, params, fit.alpha_weights, CurvatureFactor(K, fit.w_diag).half)
+    return PosteriorGP(train_xs, params, fit.alpha_weights, CurvatureFactor(K, fit.w_diag))
 
 
 def gpc_predict_latent(

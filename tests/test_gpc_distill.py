@@ -6,6 +6,7 @@ import gpdistill.gpc_distill as gpc_distill
 import gpdistill.laplace as laplace
 from conftest import assert_same_outcome, rel_err
 from gpdistill.cont_bernoulli import cb_terms
+from gpdistill.counters import counted
 from gpdistill.gpc_distill import (
     GpcDistillConfig,
     approximation_error,
@@ -265,6 +266,21 @@ class TestDistributionCentric:
             distribution_centric_gpc_iterated(data, params, t)
             assert len(calls) == t
 
+    @pytest.mark.parametrize("steps", [1, 3, 8])
+    def test_chain_work_counted(self, rng, steps):
+        # counted, not timed: one curvature factor per Newton iteration, one more per step
+        # for the posterior, and an inverse only where the next step reads the previous
+        # factor's half; the last posterior stays deferred
+        data, params = binary_instance(rng)
+        with counted() as counts:
+            chain = distribution_centric_gpc_iterated(data, params, steps)
+        newton = sum(step.fit.iterations for step in chain)
+        assert counts["newton_iterations"] == newton
+        assert counts["curvature_factors"] == newton + steps
+        assert counts["inverses"] == steps - 1 <= steps
+        assert counts["eighs"] == 0
+        assert not isinstance(chain[-1].posterior.factor, np.ndarray)
+
     def test_training_log_loss_non_increasing(self):
         from gpdistill.experiments.datasets import gen_classification_toy
 
@@ -343,6 +359,18 @@ class TestScaled:
             scaled.posterior.cov(test_xs),
             gpc_posterior(direct, K, data.xs, params).cov(test_xs),
         )
+
+    def test_mean_reads_form_no_inverse(self, rng):
+        data, params = binary_instance(rng)
+        test_xs = rng.uniform(0, 7, size=(5, 1))
+        with counted() as counts:
+            scaled = distribution_centric_gpc_scaled(data, params, 3)
+            posterior_proba(scaled.posterior, test_xs, method="latent_mean")
+        assert counts["inverses"] == 0
+        with counted() as counts:
+            posterior_proba(scaled.posterior, test_xs, method="quadrature")
+            scaled.posterior.var(test_xs)
+        assert counts["inverses"] == 1
 
     def test_matches_replicated_fit(self, rng):
         data, params = binary_instance(rng, n=6)

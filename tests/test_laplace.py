@@ -8,6 +8,8 @@ from scipy.stats import norm
 
 from conftest import assert_same_outcome, outcome_of, rel_err
 from gpdistill.cont_bernoulli import cb_terms
+from gpdistill.counters import counted
+from gpdistill.gpr import PosteriorGP
 from gpdistill.kernels import KernelParams, gram, kernel_matrix
 from gpdistill.laplace import (
     BERNOULLI,
@@ -17,6 +19,7 @@ from gpdistill.laplace import (
     HessianNotPositiveDefinite,
     LaplaceFit,
     NewtonDidNotConverge,
+    gpc_posterior,
     gpc_predict_latent,
     gpc_predict_proba,
     laplace_marginal_loglik,
@@ -163,6 +166,15 @@ class TestLaplaceMode:
             laplace_mode(ys, K, max_iters=1, step_tol=1e-16, grad_tol=1e-16)
         assert exc_info.value.grad_norm > 0
 
+    @pytest.mark.parametrize("ys, K", [([1.0], [[1e300 + 1.0]]), ([1.0, 0.0], 1e20 * np.eye(2))])
+    def test_vanished_step_is_not_convergence(self, ys, K):
+        # a prior variance near the float range makes the Newton step round to exactly
+        # zero at f = 0, where the gradient is 0.5: f stays put, yet no mode was found
+        with pytest.raises(NewtonDidNotConverge, match="Newton step vanished at iteration 1"
+                           ) as exc_info:
+            laplace_mode(ys, K)
+        assert exc_info.value.grad_norm == 0.5
+
     def test_duplicated_input_without_jitter(self):
         # K is singular; the duplicated pair shares one latent, so the mode is
         # the maximizer of the reduced two-latent log posterior
@@ -267,6 +279,16 @@ class TestLaplaceModes:
         for key in work:
             assert work[key] - before[key] == sum(cell[key] for cell in solo_work), key
 
+    def test_the_counter_sees_every_cell_iteration(self, monkeypatch):
+        # the in-package counter agrees with the patched count: one Newton iteration and
+        # one curvature factor per cell per pass, failed cells included
+        ys, grams, m = self.stack()
+        work = self.count_work(monkeypatch)
+        with counted() as counts:
+            laplace_modes(ys, grams, prior_mean=m, max_iters=self.MAX_ITERS)
+        assert counts["newton_iterations"] == counts["curvature_factors"] == work["factors"]
+        assert counts["inverses"] == counts["eighs"] == 0
+
     @pytest.mark.parametrize("max_iters", [0, 100])
     def test_a_stack_can_converge_at_the_start(self, max_iters):
         # targets sigma(m) make the gradient at f = m zero: every cell is done at iteration 0
@@ -292,6 +314,42 @@ class TestLaplaceModes:
 
     def test_no_cells_no_outcomes(self):
         assert laplace_modes(np.ones(3), []) == []
+
+
+class TestDeferredFactor:
+    def eager(self, fit, K, xs, params):
+        return PosteriorGP(xs, params, fit.alpha_weights, CurvatureFactor(K, fit.w_diag).half)
+
+    def test_outputs_are_the_eager_posterior_bit_for_bit(self, rng):
+        xs, ys, params, K = separated_problem(rng)
+        fit = laplace_mode(ys, K)
+        test_xs = rng.uniform(-1, 8, size=(6, 1))
+        eager = self.eager(fit, K, xs, params)
+        for read in ("mean", "var", "cov"):
+            deferred = gpc_posterior(fit, K, xs, params)
+            assert np.array_equal(getattr(deferred, read)(test_xs), getattr(eager, read)(test_xs))
+        deferred = gpc_posterior(fit, K, xs, params)
+        alpha, factor = rng.normal(size=len(ys)), rng.normal(size=(3, len(ys)))
+        stepped, expected = deferred.condition(alpha, factor), eager.condition(alpha, factor)
+        assert np.array_equal(stepped.factor, expected.factor)
+        assert np.array_equal(stepped.weights, expected.weights)
+
+    def test_first_variance_read_forms_the_one_inverse(self, rng):
+        xs, ys, params, K = separated_problem(rng)
+        fit = laplace_mode(ys, K)
+        test_xs = rng.uniform(-1, 8, size=(6, 1))
+        with counted() as counts:
+            gp = gpc_posterior(fit, K, xs, params)
+            gp.mean(test_xs)
+        assert (counts["curvature_factors"], counts["inverses"]) == (1, 0)
+        assert isinstance(gp.factor, CurvatureFactor)
+        with counted() as counts:
+            gp.var(test_xs)
+            gp.cov(test_xs)
+            gp.var(test_xs)
+        assert (counts["curvature_factors"], counts["inverses"]) == (0, 1)
+        # the record now holds R in place of the curvature factor, not both
+        assert isinstance(gp.factor, np.ndarray) and gp.factor.shape == (len(ys), len(ys))
 
 
 class TestPredictLatent:

@@ -1,14 +1,26 @@
-"""Randomized properties of the Laplace mode finder and regression fits on awkward problems."""
+"""Randomized properties of the Laplace mode finder, regression fits and the iterated GPC chain."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_same_outcome, outcome_of, rel_err
+from gpdistill.experiments.datasets import gen_classification_toy
+from gpdistill.gpc_distill import (
+    distribution_centric_gpc_iterated,
+    distribution_centric_gpc_recursive,
+)
 from gpdistill.gpr import Dataset, fit_gpr, predict_gpr
 from gpdistill.gridsearch import NUMERICAL_ERRORS
 from gpdistill.kernels import KernelParams, gram, kernel_matrix
-from gpdistill.laplace import BERNOULLI, CONTINUOUS_BERNOULLI, laplace_mode, laplace_modes
+from gpdistill.laplace import (
+    BERNOULLI,
+    CONTINUOUS_BERNOULLI,
+    BinaryDataset,
+    laplace_mode,
+    laplace_modes,
+)
 
 
 @st.composite
@@ -113,3 +125,49 @@ def test_each_stacked_cell_is_its_solo_fit(stack):
     for K, got in zip(grams, stacked, strict=True):
         assert_same_outcome(got, outcome_of(lambda: laplace_mode(
             ys, K, prior_mean=m, likelihood=likelihood, max_iters=max_iters)))
+
+
+def assert_chain_matches_literal(data, params, steps, tol):
+    """The accumulated chain against its literal oracle: the same Newton iterations at every
+    step, and f_hat, the latent mean and the variance at 20 points within tol (norm-relative)."""
+    test_xs = np.linspace(-1.0, 6.0, 20)
+    accumulated = distribution_centric_gpc_iterated(data, params, steps)
+    literal = distribution_centric_gpc_recursive(data, params, steps)
+    assert len(accumulated) == len(literal) == steps
+    for got, want in zip(accumulated, literal):
+        assert got.fit.iterations == want.fit.iterations
+        assert rel_err(got.fit.f_hat, want.fit.f_hat) <= tol
+        assert rel_err(got.posterior.mean(test_xs), want.posterior.mean(test_xs)) <= tol
+        assert rel_err(got.posterior.var(test_xs), want.posterior.var(test_xs)) <= tol
+
+
+@st.composite
+def chains(draw):
+    """Binary labels at 1-D inputs, maybe with one duplicated input, and a chain depth."""
+    n = draw(st.integers(2, 40))
+    sigma_f = draw(st.floats(0.1, 3.0))
+    length_scale = draw(st.floats(0.1, 5.0))
+    steps = draw(st.integers(1, 8))
+    duplicated = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    xs = rng.uniform(0.0, 5.0, size=n)
+    if duplicated:
+        xs[1] = xs[0]
+    ys = (rng.uniform(size=n) < 0.5).astype(float)
+    params = KernelParams(signal_variance=sigma_f**2, length_scale=length_scale)
+    return BinaryDataset(xs, ys), params, steps
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(chains())
+def test_accumulated_chain_is_the_literal_chain(chain):
+    data, params, steps = chain
+    assert_chain_matches_literal(data, params, steps, 1e-12)
+
+
+@pytest.mark.parametrize("n, sigma_f, tol", [(30, 1.0, 1e-12), (100, 1.0, 1e-12),
+                                             (300, 1.0, 1e-12), (30, 100.0, 1e-9)])
+def test_accumulated_chain_is_the_literal_chain_at_size(n, sigma_f, tol):
+    data = gen_classification_toy(0, n=n)
+    assert_chain_matches_literal(data, KernelParams(signal_variance=sigma_f**2, length_scale=1.0),
+                                 10, tol)

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from gpdistill.counters import counted
 from gpdistill.gpr import fit_gpr, predict_gpr
 from gpdistill.gpc_distill import (
     approximation_error,
@@ -86,6 +87,18 @@ class TestGpcDistExperiment:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["probability_method"] == "latent_mean"
 
+    def test_duplication_gap_on_the_toy(self, tmp_path):
+        # the paper's "approximately data duplication", as ||W_tot,t - t W_t|| / ||t W_t||
+        out = tmp_path / "run3"
+        run_experiment(
+            ExperimentConfig(experiment="gpc-dist-10step", out_dir=out, seed=0,
+                             steps=10, sigma_f=1.0, length_scale=1.0)
+        )
+        gap = json.loads((out / "manifest.json").read_text())["duplication_gap"]
+        assert len(gap) == 10
+        assert gap[0] < 1e-6  # one step is one fit: only the jitter separates them
+        np.testing.assert_allclose([gap[1], gap[4], gap[9]], [0.046, 0.097, 0.112], atol=1e-3)
+
 
 REGRESSION_IDS = ["gpr-data-10step", "gpr-dist-10step", "gpr-data-schedules",
                   "gpr-dist-schedules"]
@@ -93,33 +106,20 @@ REGRESSION_IDS = ["gpr-data-10step", "gpr-dist-10step", "gpr-data-schedules",
 
 class TestOneDecompositionPerRun:
     # counted, not timed: every step of every schedule shares one spectrum of K
-    def decompositions(self, monkeypatch, tmp_path, **config) -> int:
-        import gpdistill.experiments.runner as runner_module
-        import gpdistill.gpr as gpr_module
-        import gpdistill.gpr_distill as distill_module
-        import gpdistill.gridsearch as grid_module
-
-        real_decompose = gpr_module.spectral_decompose
-        calls = []
-
-        def decompose(K):
-            calls.append(K.shape)
-            return real_decompose(K)
-
-        for module in (runner_module, gpr_module, distill_module, grid_module):
-            monkeypatch.setattr(module, "spectral_decompose", decompose)
-        run_experiment(ExperimentConfig(out_dir=tmp_path / "out", seed=0, **config))
-        return len(calls)
+    def decompositions(self, tmp_path, **config) -> int:
+        with counted() as counts:
+            run_experiment(ExperimentConfig(out_dir=tmp_path / "out", seed=0, **config))
+        return counts["eighs"]
 
     @pytest.mark.parametrize("experiment", REGRESSION_IDS)
-    def test_fixed_hyperparameters(self, monkeypatch, tmp_path, experiment):
-        assert self.decompositions(monkeypatch, tmp_path, experiment=experiment,
+    def test_fixed_hyperparameters(self, tmp_path, experiment):
+        assert self.decompositions(tmp_path, experiment=experiment,
                                    sigma_f=2.0, length_scale=1.5) == 1
 
     @pytest.mark.parametrize("experiment", REGRESSION_IDS)
-    def test_grid_selected_hyperparameters(self, monkeypatch, tmp_path, experiment):
+    def test_grid_selected_hyperparameters(self, tmp_path, experiment):
         # one per length scale of the 10 x 10 search, then the run's own
-        assert self.decompositions(monkeypatch, tmp_path, experiment=experiment) == 11
+        assert self.decompositions(tmp_path, experiment=experiment) == 11
 
 
 class TestGpcDataCbFits:
