@@ -4,16 +4,22 @@ Data-centric chains refit at each step to the previous step's predicted
 targets; because those targets live in [0, 1] rather than {0, 1}, steps beyond
 the first switch to the continuous Bernoulli likelihood to stay well-specified.
 Distribution-centric chains instead feed each step's Laplace-approximated
-posterior back in as the next prior; iterating that literally costs one full
-fit per step, but a single fit with the covariance scaled by the step count is
-an exact stand-in for replicated data and a close approximation of the whole
-iterated chain.
-Every step's latent posterior is a gpr.PosteriorGP, built by
-laplace.gpc_posterior or PosteriorGP.condition from the square-root factor
-half of a laplace.CurvatureFactor, and laplace.posterior_proba (re-exported
-here) turns it into class probabilities. Each factor pairs a fit's curvature
-w with the one matrix that fit ran on, jitter included, so the scaled fit's
-posterior is exactly the ordinary posterior under signal variance t*sigma_f^2.
+posterior back in as the next prior. Each step adds one Gaussian site at the
+same inputs, so the iterated chain's step-t posterior is one Laplace posterior
+under the summed site precision W_tot (the classification counterpart of the
+pooled regression noise): one full fit per step, but one curvature factor of
+the noiseless K per step and no re-conditioning. A single fit with the
+covariance scaled by the step count is an exact stand-in for replicated data
+and a close approximation of the whole iterated chain; duplication_gap
+measures how close, as ||W_tot,t - t W_t|| / ||t W_t||.
+Every step's latent posterior is a gpr.PosteriorGP holding a
+laplace.CurvatureFactor, whose square-root factor half it forms only when a
+variance is read, and laplace.posterior_proba (re-exported here) turns it into
+class probabilities. Each factor pairs a curvature with the one matrix it
+belongs to, jitter included, so the scaled fit's posterior is exactly the
+ordinary posterior under signal variance t*sigma_f^2.
+distribution_centric_gpc_recursive, the literal chain through
+PosteriorGP.condition, is kept as the oracle of the iterated one.
 """
 
 from __future__ import annotations

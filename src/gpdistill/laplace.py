@@ -12,15 +12,18 @@ target vector under several prior covariances, such as a grid's cells at one
 length scale): the element-wise work and the row sums run once on (cells, N)
 arrays, each cell keeps its own factorization and K products, and each cell's
 outcome is bit for bit that of its own fit. One check per pass gives a cell
-its outcome (a fit, halvings that ran out, or max_iters reached), a failed
-factorization gives one at once, and the cells with an outcome leave the stack
-through one filter. laplace_mode is the one-cell case. A fit records its log
-posterior at the start and after each iteration, and the step halvings each
-iteration took. After the mode, the same factor gives the evidence's
-determinant and, as its square root half = L^-1 W^(1/2), the covariance factor
-of the fit's latent posterior: gpc_posterior turns a fit into a
-gpr.PosteriorGP, and posterior_proba is the one place a latent posterior
-becomes class probabilities, for plain fits and distillation chains alike.
+its outcome (a fit, halvings that ran out, a Newton step that vanished in
+roundoff, or max_iters reached), a failed factorization gives one at once, and
+the cells with an outcome leave the stack through one filter. laplace_mode is
+the one-cell case. A fit records its log posterior at the start and after
+each iteration, and the step halvings each iteration took. After the mode, the
+same factor gives the evidence's determinant and, as its square root
+half = L^-1 W^(1/2), the covariance factor of the fit's latent posterior:
+gpc_posterior hands the factor to a gpr.PosteriorGP, which forms half only when
+a variance is first read, and posterior_proba is the one place a latent
+posterior becomes class probabilities, for plain fits and distillation chains
+alike. gpdistill.counters counts the factors, the halves formed and the Newton
+iterations.
 The same machinery serves the ordinary Bernoulli likelihood and the continuous
 Bernoulli variant used for distillation targets in [0, 1]; the latter only adds
 the closed-form normalizer terms to the log-likelihood, its gradient, and its
@@ -343,10 +346,14 @@ class CurvatureFactor:
     it, without that wrapper's checks. Then
     (K + W^-1)^-1 = W^(1/2) B^-1 W^(1/2) = half^T half with half = L^-1 W^(1/2),
     the square-root factor a PosteriorGP stores, formed on first use with
-    numpy's inverse: multi-column triangular solves through scipy's separately
-    bundled BLAS contended with numpy's thread pool on two cores. Neither K^-1
-    nor W^-1 is ever formed, so K need not be invertible. A negative weight, or
-    a B that is not positive definite, raises HessianNotPositiveDefinite.
+    numpy's inverse. Routing it through scipy instead is a trap on two cores:
+    scipy's separately bundled OpenBLAS pool contends with numpy's. At n=1000,
+    dtrtri (a triangular inverse) slowed the ten scaled fits of
+    reproduce gpc-dist-10step from 1.3-1.5 s to 2.3-2.7 s and numpy's
+    Choleskies after it from 0.8-0.96 s to 1.3-1.4 s; at n=300 a 90-column
+    dtrtrs took 7.8 ms against 5.2 ms for inv and a product. Neither K^-1 nor
+    W^-1 is ever formed, so K need not be invertible. A negative weight, or a B
+    that is not positive definite, raises HessianNotPositiveDefinite.
     """
 
     def __init__(self, K, w: np.ndarray):
@@ -401,9 +408,11 @@ def _solve_chol(chol: np.ndarray, rhs: np.ndarray, transposed: bool) -> np.ndarr
 def gpc_posterior(fit: LaplaceFit, K, train_xs, params: KernelParams) -> PosteriorGP:
     """The latent posterior of a fit as a PosteriorGP (GPML eqs. 3.21, 3.24).
 
-    Its weights are alpha and its factor is the curvature factor's half, whose
-    R^T R is (K + W^-1)^-1, so mean(a) = k(a, X) alpha and
-    cov(a, b) = k(a, b) - k(a, X)(K + W^-1)^-1 k(X, b).
+    Its weights are alpha and its factor is the fit's CurvatureFactor, whose
+    half R has R^T R = (K + W^-1)^-1, so mean(a) = k(a, X) alpha and
+    cov(a, b) = k(a, b) - k(a, X)(K + W^-1)^-1 k(X, b). The posterior forms R
+    (an O(N^3) inverse) on its first cov, var or condition and keeps R in the
+    factor's place; a posterior read only through its mean never forms it.
     K must be the matrix the fit ran on, jitter and any diagonal shift included,
     because w is that fit's curvature; params give the kernel between test and
     training points.
