@@ -193,13 +193,13 @@ def distribution_centric_gpc_iterated(
         weights = weights + fit.alpha_weights
         if factor is not None:
             weights -= factor.solve(K @ fit.alpha_weights)
-        w_tot = w_tot + site_precision(fit.w_diag, params.jitter)
+        w_tot = w_tot + _site_precision(fit.w_diag, params.jitter)
         factor = CurvatureFactor(K, w_tot)
         out.append(GpcDistillStep(fit=fit, posterior=PosteriorGP(xs, params, weights, factor)))
     return out
 
 
-def site_precision(w: np.ndarray, jitter: float) -> np.ndarray:
+def _site_precision(w: np.ndarray, jitter: float) -> np.ndarray:
     """The precision w / (1 + jitter w) that a fit's curvature w puts on the noiseless latent.
 
     A fit on K + jitter*I sees its Gaussian site through the jitter, and
@@ -316,7 +316,7 @@ def duplication_gap(
         raise ValueError(f"step counts differ: {len(iterated)} vs {len(scaled)}")
     gaps, w_tot = [], 0.0
     for t, (it_step, sc_step) in enumerate(zip(iterated, scaled), start=1):
-        w_tot = w_tot + site_precision(it_step.fit.w_diag, jitter)
+        w_tot = w_tot + _site_precision(it_step.fit.w_diag, jitter)
         duplicated = t * sc_step.fit.w_diag
         gaps.append(float(np.linalg.norm(w_tot - duplicated) / np.linalg.norm(duplicated)))
     return np.asarray(gaps)
