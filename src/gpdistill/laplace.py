@@ -347,8 +347,9 @@ class CurvatureFactor:
     (K + W^-1)^-1 = W^(1/2) B^-1 W^(1/2) = half^T half with half = L^-1 W^(1/2),
     the square-root factor a PosteriorGP stores, formed on first use with
     numpy's inverse. Routing it through scipy instead is a trap on two cores:
-    scipy's separately bundled OpenBLAS pool contends with numpy's. At n=1000,
-    dtrtri (a triangular inverse) slowed the ten scaled fits of
+    scipy's separately bundled OpenBLAS pool contends with numpy's. On a shared
+    2-vCPU host (OpenBLAS 0.3.31, default threads), at n=1000, dtrtri (a
+    triangular inverse) slowed the ten scaled fits of
     reproduce gpc-dist-10step from 1.3-1.5 s to 2.3-2.7 s and numpy's
     Choleskies after it from 0.8-0.96 s to 1.3-1.4 s; at n=300 a 90-column
     dtrtrs took 7.8 ms against 5.2 ms for inv and a product. Neither K^-1 nor
